@@ -14,11 +14,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import NotFittedError, validate_data, working_dtype
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import AppendOnesOperator, as_operator
 from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.core.estimator import ReproEstimator, warn_deprecated_param
 from repro.core.solver_config import SolverConfig, config_alias
+from repro.core.srda import _record_lsqr_columns
 from repro.robustness import FitReport, guarded_solve
 
 
@@ -121,36 +122,18 @@ class RidgeClassifier(ReproEstimator):
                 weights = X_aug.T @ solve.x
             self.lsqr_iterations_ = None
         else:
-            op = AppendOnesOperator(as_operator(X))
-            weights = np.empty((op.shape[1], n_classes))
-            iterations = []
-            istops = []
-            residuals = []
-            for k in range(n_classes):
-                result = lsqr(
-                    op,
-                    targets[:, k],
-                    damp=float(np.sqrt(self.alpha)),
-                    atol=self.tol,
-                    btol=self.tol,
-                    iter_lim=self.max_iter,
-                )
-                weights[:, k] = result.x
-                iterations.append(result.itn)
-                istops.append(result.istop)
-                residuals.append(float(result.r2norm))
-                if result.istop in FAILURE_ISTOPS:
-                    report.converged = False
-                    report.add_warning(
-                        f"LSQR failed on class {k}: istop={result.istop} "
-                        f"({ISTOP_REASONS[result.istop]})"
-                    )
-            self.lsqr_iterations_ = iterations
-            report.solver = "lsqr"
-            report.effective_alpha = self.alpha
-            report.lsqr_istop = istops
-            report.lsqr_iterations = iterations
-            report.lsqr_residuals = residuals
+            blocked = block_lsqr(
+                AppendOnesOperator(as_operator(X)),
+                targets,
+                damp=float(np.sqrt(self.alpha)),
+                atol=self.tol,
+                btol=self.tol,
+                iter_lim=self.max_iter,
+            )
+            weights = np.asarray(blocked.X, dtype=np.float64)
+            self.lsqr_iterations_ = _record_lsqr_columns(
+                blocked, report, self.tol, self.alpha, label="class"
+            )
 
         self.coef_ = weights[:-1]
         self.intercept_ = weights[-1]

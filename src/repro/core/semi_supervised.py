@@ -24,7 +24,7 @@ from repro.core.estimator import warn_deprecated_param
 from repro.core.graph import graph_responses, semi_supervised_affinity
 from repro.core.solver_config import SolverConfig, config_alias
 from repro.linalg.cholesky import cholesky, solve_factored
-from repro.linalg.lsqr import lsqr
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import CenteringOperator, as_operator
 from repro.observability import Tracer, resolve_tracer
 
@@ -199,20 +199,14 @@ class SemiSupervisedSRDA(LinearEmbedder):
     def _ridge_lsqr(
         self, op, targets: np.ndarray, tracer: Optional[Tracer] = None
     ) -> np.ndarray:
-        weights = np.empty((op.shape[1], targets.shape[1]))
-        iterations = []
-        hook = tracer.iteration_hook() if tracer is not None else None
-        for j in range(targets.shape[1]):
-            result = lsqr(
-                op,
-                targets[:, j],
-                damp=float(np.sqrt(self.alpha)),
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-                on_iteration=hook,
-            )
-            weights[:, j] = result.x
-            iterations.append(result.itn)
-        self.lsqr_iterations_ = iterations
-        return weights
+        result = block_lsqr(
+            op,
+            targets,
+            damp=float(np.sqrt(self.alpha)),
+            atol=self.tol,
+            btol=self.tol,
+            iter_lim=self.max_iter,
+            on_iteration=tracer.iteration_hook() if tracer is not None else None,
+        )
+        self.lsqr_iterations_ = [int(itn) for itn in result.itn]
+        return np.asarray(result.X, dtype=np.float64)

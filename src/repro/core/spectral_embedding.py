@@ -23,7 +23,7 @@ from repro.core.graph import knn_affinity
 from repro.linalg.cholesky import cholesky, solve_factored
 from repro.linalg.eigen import lanczos_eigsh
 from repro.core.estimator import ReproEstimator
-from repro.linalg.lsqr import lsqr
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import CenteringOperator, as_operator
 
 
@@ -123,21 +123,16 @@ class SpectralRegressionEmbedding(ReproEstimator):
         return X.T @ solve_factored(cholesky(outer), targets)
 
     def _ridge_lsqr(self, op, targets: np.ndarray) -> np.ndarray:
-        weights = np.empty((op.shape[1], targets.shape[1]))
-        iterations = []
-        for j in range(targets.shape[1]):
-            result = lsqr(
-                op,
-                targets[:, j],
-                damp=float(np.sqrt(self.alpha)),
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-            )
-            weights[:, j] = result.x
-            iterations.append(result.itn)
-        self.lsqr_iterations_ = iterations
-        return weights
+        result = block_lsqr(
+            op,
+            targets,
+            damp=float(np.sqrt(self.alpha)),
+            atol=self.tol,
+            btol=self.tol,
+            iter_lim=self.max_iter,
+        )
+        self.lsqr_iterations_ = [int(itn) for itn in result.itn]
+        return np.asarray(result.X, dtype=np.float64)
 
     def transform(self, X) -> np.ndarray:
         """Embed (possibly unseen) samples linearly.

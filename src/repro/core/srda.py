@@ -62,8 +62,12 @@ from repro.core.responses import (
 )
 from repro.core.solver_config import SolverConfig, config_alias
 from repro.linalg import kernels
-from repro.linalg.block_lsqr import SharedBidiagonalization, block_lsqr
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
+from repro.linalg.block_lsqr import (
+    BlockLSQRResult,
+    SharedBidiagonalization,
+    block_lsqr,
+)
+from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -105,34 +109,40 @@ def _note_parallel_backend(report: FitReport, sharded) -> None:
     )
 
 
-def _record_lsqr_columns(columns, report: FitReport, tol: float, alpha: float):
-    """Fold per-column LSQR results into a :class:`FitReport`.
+def _record_lsqr_columns(
+    result: BlockLSQRResult,
+    report: FitReport,
+    tol: float,
+    alpha: float,
+    label: str = "response",
+) -> List[int]:
+    """Fold a blocked LSQR result into a :class:`FitReport`.
 
-    Shared by the blocked and sequential solver paths and by
-    :func:`srda_alpha_path`, so the diagnostics and warning text are
-    identical no matter which engine produced the columns.  Returns the
-    per-column iteration counts.
+    Shared by :meth:`SRDA._ridge_lsqr`, :func:`srda_alpha_path` and
+    :class:`~repro.baselines.ridge.RidgeClassifier`, so the diagnostics
+    and warning text are identical no matter which estimator produced
+    the columns; ``label`` names what a column is in the warnings.
+    Returns the per-column iteration counts.
     """
-    iterations: List[int] = []
-    istops: List[int] = []
-    residuals: List[float] = []
-    for j, result in enumerate(columns):
-        iterations.append(result.itn)
-        istops.append(result.istop)
-        residuals.append(float(result.r2norm))
-        if result.istop in FAILURE_ISTOPS:
+    iterations = [int(v) for v in result.itn]
+    istops = [int(v) for v in result.istop]
+    residuals = [float(v) for v in result.r2norm]
+    for j, (itn, istop, r2norm) in enumerate(
+        zip(iterations, istops, residuals)
+    ):
+        if istop in FAILURE_ISTOPS:
             report.converged = False
             report.add_warning(
-                f"LSQR failed on response {j}: "
-                f"istop={result.istop} ({ISTOP_REASONS[result.istop]}) "
-                f"after {result.itn} iterations, r2norm={result.r2norm:.3g}"
+                f"LSQR failed on {label} {j}: "
+                f"istop={istop} ({ISTOP_REASONS[istop]}) "
+                f"after {itn} iterations, r2norm={r2norm:.3g}"
             )
-        elif result.istop == 7 and tol > 0:
+        elif istop == 7 and tol > 0:
             # Hitting the cap is only noteworthy when the caller
             # asked for tolerance-based convergence (tol=0 runs a
             # fixed iteration count by design, per the paper).
             report.add_warning(
-                f"LSQR hit the iteration limit on response {j} "
+                f"LSQR hit the iteration limit on {label} {j} "
                 f"before reaching tol={tol:g}",
                 emit=False,
             )
@@ -311,16 +321,6 @@ class SRDA(LinearEmbedder):
         paper's IDR/QR comparison is named for: when data arrives in
         batches, refitting converges in a handful of iterations instead
         of starting cold.  Ignored by the normal-equations solver.
-    block:
-        When True (default) the LSQR path solves all ``c - 1`` response
-        columns in one blocked Golub–Kahan iteration
-        (:func:`repro.linalg.block_lsqr.block_lsqr`): two sparse
-        mat-mats per iteration instead of ``2(c-1)`` mat-vecs, so the
-        data streams through memory once per iteration regardless of
-        the number of classes.  ``block=False`` is the escape hatch
-        back to one :func:`~repro.linalg.lsqr.lsqr` call per column.
-        Per-column termination codes, damping, warm starts, and the
-        istop-8/9 failure semantics are identical on both paths.
     on_invalid:
         Degradation policy for degenerate input: ``"raise"`` (default)
         rejects non-finite features and single-class problems;
@@ -386,7 +386,6 @@ class SRDA(LinearEmbedder):
         max_iter: int = 20,
         tol: float = 1e-10,
         warm_start: bool = False,
-        block: bool = True,
         on_invalid: str = "raise",
         trace=None,
         validate_operators: bool = False,
@@ -428,7 +427,6 @@ class SRDA(LinearEmbedder):
         self.max_iter = int(max_iter)
         self.tol = float(tol)
         self.warm_start = bool(warm_start)
-        self.block = bool(block)
         self.on_invalid = on_invalid
         self.trace = trace
         self.validate_operators = bool(validate_operators)
@@ -955,57 +953,35 @@ class SRDA(LinearEmbedder):
     ) -> FloatArray:
         """LSQR with damping √α over all target columns.
 
-        The default (``block=True``) carries every column through one
-        blocked Golub–Kahan iteration; ``block=False`` falls back to a
-        sequential :func:`~repro.linalg.lsqr.lsqr` call per column.
-        Both paths feed the same per-column diagnostics into the
-        report.  When tracing is enabled, every solver iteration lands
-        as an event on the enclosing ``srda.solve`` span.  (The tracer
-        rides ``self._fit_tracer`` rather than the signature so that
-        fault-injection wrappers around this method keep working.)
+        Every column rides one blocked Golub–Kahan iteration
+        (:func:`repro.linalg.block_lsqr.block_lsqr`): two block
+        products per iteration instead of ``2(c-1)`` mat-vecs, so the
+        data streams through memory once per iteration regardless of
+        the number of classes.  When tracing is enabled, every solver
+        iteration lands as an event on the enclosing ``srda.solve``
+        span.  (The tracer rides ``self._fit_tracer`` rather than the
+        signature so that fault-injection wrappers around this method
+        keep working.)
         """
-        starts = self._warm_start_matrix(op.shape[1], targets.shape[1])
-        damp = float(np.sqrt(self.alpha))
         tracer = getattr(self, "_fit_tracer", None)
-        hook = tracer.iteration_hook() if tracer is not None else None
         precondition = getattr(self, "_precondition", None)
-        if self.block:
-            blocked = block_lsqr(
-                op,
-                targets,
-                damp=damp,
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-                X0=starts,
-                on_iteration=hook,
-                precondition=precondition,
-            )
-            weights = np.asarray(blocked.X, dtype=np.float64)
-            columns = [blocked.column(j) for j in range(targets.shape[1])]
-        else:
-            weights = np.empty((op.shape[1], targets.shape[1]))
-            columns = []
-            for j in range(targets.shape[1]):
-                result = lsqr(
-                    op,
-                    targets[:, j],
-                    damp=damp,
-                    atol=self.tol,
-                    btol=self.tol,
-                    iter_lim=self.max_iter,
-                    x0=None if starts is None else starts[:, j],
-                    on_iteration=hook,
-                    precondition=precondition,
-                )
-                weights[:, j] = result.x
-                columns.append(result)
+        blocked = block_lsqr(
+            op,
+            targets,
+            damp=float(np.sqrt(self.alpha)),
+            atol=self.tol,
+            btol=self.tol,
+            iter_lim=self.max_iter,
+            X0=self._warm_start_matrix(op.shape[1], targets.shape[1]),
+            on_iteration=tracer.iteration_hook() if tracer is not None else None,
+            precondition=precondition,
+        )
         self.lsqr_iterations_ = _record_lsqr_columns(
-            columns, report, self.tol, self.alpha
+            blocked, report, self.tol, self.alpha
         )
         if precondition is not None:
             report.solver = "sketched_lsqr"
-        return weights
+        return np.asarray(blocked.X, dtype=np.float64)
 
     def _warm_start_matrix(self, n_weights: int, n_targets: int):
         """Previous solution as LSQR starting points, when compatible.
@@ -1224,7 +1200,7 @@ def srda_alpha_path(
                 )
                 engine = "lsqr"
 
-        def assemble(alpha: float, weights, columns) -> None:
+        def assemble(alpha: float, solved: BlockLSQRResult) -> None:
             # Shared per-alpha model assembly: identical for the
             # replayed and the sketched engines, so the fitted models
             # differ only in how the weights were produced.
@@ -1244,8 +1220,9 @@ def srda_alpha_path(
                     emit=on_invalid == "warn",
                 )
             model.lsqr_iterations_ = _record_lsqr_columns(
-                columns, report, tol, alpha
+                solved, report, tol, alpha
             )
+            weights = np.asarray(solved.X, dtype=np.float64)
             if engine == "sketched_lsqr":
                 report.solver = "sketched_lsqr"
             if center:
@@ -1311,11 +1288,7 @@ def srda_alpha_path(
                             on_iteration=tracer.iteration_hook(),
                             precondition=pre,
                         )
-                    weights = np.asarray(solved.X, dtype=np.float64)
-                    columns = [
-                        solved.column(j) for j in range(responses.shape[1])
-                    ]
-                    assemble(alpha, weights, columns)
+                    assemble(alpha, solved)
             finally:
                 # Unlike the replayed path, the per-alpha solves here
                 # DO touch the data — the sharded operator must stay
@@ -1344,7 +1317,5 @@ def srda_alpha_path(
                     btol=tol,
                     on_iteration=tracer.iteration_hook(),
                 )
-            weights = np.asarray(solved.X, dtype=np.float64)
-            columns = [solved.column(j) for j in range(responses.shape[1])]
-            assemble(alpha, weights, columns)
+            assemble(alpha, solved)
     return models

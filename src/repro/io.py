@@ -96,8 +96,12 @@ def load_model(path: Union[str, Path]):
         params = json.loads(str(archive["params_json"]))
         if cls is SRDA:
             # Fold the flat solver knobs back into a SolverConfig (the
-            # file format predates the grouping and stays flat).
+            # file format predates the grouping and stays flat), and
+            # drop the retired blocked-solver switch: every SRDA fit is
+            # blocked now.
             from repro.core.solver_config import SolverConfig
+
+            params.pop("block", None)
 
             fields = {
                 name: params.pop(name)

@@ -11,11 +11,12 @@ of kernels, each implemented here from scratch on top of numpy primitives:
   response-generation step (Eqn 15/16).
 - :mod:`repro.linalg.cholesky` — Cholesky factorization and triangular
   solves, used by the normal-equations solver (Eqn 20/21).
-- :mod:`repro.linalg.lsqr` — the Paige–Saunders LSQR iteration, the
-  linear-time solver of the paper's title.
-- :mod:`repro.linalg.block_lsqr` — the blocked multi-RHS variant that
-  carries all ``c-1`` SRDA systems through shared mat-mats, plus the
-  bidiagonalize-once alpha-sweep engine.
+- :mod:`repro.linalg.block_lsqr` — the Paige–Saunders LSQR iteration,
+  the linear-time solver of the paper's title: all ``c-1`` SRDA systems
+  ride shared block products, plus the bidiagonalize-once alpha-sweep
+  engine.
+- :mod:`repro.linalg.lsqr` — single right-hand-side LSQR, the
+  one-column case of :func:`~repro.linalg.block_lsqr.block_lsqr`.
 - :mod:`repro.linalg.svd` — the cross-product SVD trick from Section II-B.
 - :mod:`repro.linalg.dense` — small dense helpers shared by the baselines.
 - :mod:`repro.linalg.sketch` — randomized sketching operators

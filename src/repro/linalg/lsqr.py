@@ -1,131 +1,49 @@
 """LSQR — Paige & Saunders' iterative solver for sparse least squares.
 
-This is the engine behind the paper's title claim.  Each LSQR iteration
+This is the solver behind the paper's title claim.  Each LSQR iteration
 touches the data only through one ``A @ v`` and one ``A.T @ u`` product,
 so on a sparse matrix with ``s`` non-zeros per row the per-iteration cost
 is ``2 m s + 3 m + 5 n`` flam and the total cost for SRDA's ``c-1``
 regression problems is linear in both ``m`` and ``n``.  The paper runs a
 fixed, small iteration count (15–20) and observes convergence.
 
-Implementation follows Paige & Saunders, *ACM TOMS* 8(1):43–71 (1982)
-and the companion Algorithm 583 paper:
-
-- Golub–Kahan bidiagonalization of ``A`` started from ``b``;
-- QR factorization of the bidiagonal matrix updated by Givens rotations;
-- built-in Tikhonov damping: solves ``min ‖Ax - b‖² + damp²‖x‖²`` without
-  forming the augmented system;
-- the standard stopping rules (atol/btol on the residual, conlim on the
-  condition estimate) plus a hard iteration limit.
+The engine is :func:`repro.linalg.block_lsqr.block_lsqr`, which carries
+any number of right-hand sides through one Golub–Kahan iteration;
+:func:`lsqr` is its one-column case.  A one-column block reaches the
+operator as ``matvec``/``rmatvec`` products, so a single solve costs one
+of each per iteration.
 
 Works on anything accepted by :func:`repro.linalg.operators.as_operator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+import dataclasses
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro._typing import FloatArray, MatrixLike
 
-from repro.linalg.operators import (
-    IdentityOperator,
-    LinearOperator,
-    StackedOperator,
-    as_operator,
+from repro.linalg.block_lsqr import (
+    FAILURE_ISTOPS,
+    ISTOP_REASONS,
+    LSQRResult,
+    block_lsqr,
 )
-from repro.observability.hooks import IterationEvent, IterationHook
+from repro.linalg.operators import as_operator
+from repro.observability.hooks import IterationHook
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.linalg.sketch import SketchPreconditioner
 
-#: Human-readable meanings of the termination codes.  0–7 follow Paige &
-#: Saunders / Algorithm 583; 8 and 9 are this implementation's explicit
-#: failure codes — previously those runs silently returned garbage.
-ISTOP_REASONS = {
-    0: "x = 0 is the exact solution",
-    1: "residual small enough (btol test)",
-    2: "least-squares optimality reached (atol test)",
-    3: "condition estimate exceeded conlim",
-    4: "residual as small as machine precision allows",
-    5: "optimality as small as machine precision allows",
-    6: "condition estimate at machine-precision limit",
-    7: "iteration limit reached before convergence tests fired",
-    8: "non-finite values encountered (diverged or faulty operator)",
-    9: "residual stagnated far from optimality",
-}
-
-#: Codes that indicate the run failed to make progress (8 = divergence /
-#: NaN contamination, 9 = stagnation).  Code 7 is *not* listed: hitting
-#: the iteration cap is normal operation for the paper's fixed 15–20
-#: iteration protocol (``tol = 0``); callers decide whether it matters.
-FAILURE_ISTOPS = frozenset({8, 9})
-
-#: Consecutive no-progress iterations before stagnation is declared.
-_STAGNATION_WINDOW = 5
-#: Relative residual decrease below which an iteration counts as stalled.
-_STAGNATION_RTOL = 1e-12
-#: Optimality levels that must *both* still be poor for a plateau to be
-#: stagnation rather than ordinary convergence with tol = 0.
-_STAGNATION_FLOOR = 1e-6
-
-
-@dataclass
-class LSQRResult:
-    """Outcome of an LSQR run.
-
-    Attributes
-    ----------
-    x:
-        The solution estimate.
-    istop:
-        Why the iteration stopped: 0 = x=0 is the exact solution,
-        1 = residual small (btol test), 2 = least-squares optimality
-        (atol test), 3 = condition-number limit, 7 = iteration limit,
-        8 = non-finite values (divergence/faulty operator),
-        9 = stagnation far from optimality.  See :data:`ISTOP_REASONS`.
-    itn:
-        Iterations performed.
-    r1norm:
-        ``‖b - Ax‖`` (undamped residual norm).
-    r2norm:
-        ``sqrt(‖b - Ax‖² + damp²‖x‖²)`` — the quantity LSQR minimizes.
-    anorm, acond:
-        Frobenius-norm and condition estimates of the (damped) operator.
-    arnorm:
-        ``‖Aᵀr‖`` — the least-squares optimality residual.
-    xnorm:
-        ``‖x‖``.
-    residual_history:
-        ``r2norm`` after each iteration, when history recording is on.
-    """
-
-    x: FloatArray
-    istop: int
-    itn: int
-    r1norm: float
-    r2norm: float
-    anorm: float
-    acond: float
-    arnorm: float
-    xnorm: float
-    residual_history: List[float] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        """True when the run diverged (8) or stagnated (9)."""
-        return self.istop in FAILURE_ISTOPS
-
-    @property
-    def converged(self) -> bool:
-        """True when a convergence test fired (not a cap or a failure)."""
-        return self.istop in (0, 1, 2, 4, 5)
-
-    @property
-    def stop_reason(self) -> str:
-        """Human-readable meaning of :attr:`istop`."""
-        return ISTOP_REASONS.get(self.istop, f"unknown code {self.istop}")
+__all__ = [
+    "FAILURE_ISTOPS",
+    "ISTOP_REASONS",
+    "LSQRResult",
+    "lsqr",
+    "lsqr_flam_per_iteration",
+]
 
 
 def lsqr(
@@ -147,6 +65,11 @@ def lsqr(
     Golub–Kahan step costs one ``matvec`` plus one ``rmatvec``
     (``2·nnz`` flam) and a handful of length-``m``/``n`` vector ops.
 
+    The one-column case of :func:`repro.linalg.block_lsqr.block_lsqr`;
+    every parameter means what it means there, with ``b`` of length
+    ``m`` and ``x0`` of length ``n``.  ``b`` and ``x0`` are cast to the
+    operator's value dtype, and so is the returned ``x``.
+
     Parameters
     ----------
     A:
@@ -157,373 +80,46 @@ def lsqr(
     damp:
         Tikhonov damping √α; ``damp > 0`` gives exactly the ridge
         solution SRDA needs.
-    atol, btol:
-        Relative stopping tolerances (see Paige & Saunders §6).
-    conlim:
-        Stop when the condition estimate exceeds this.
-    iter_lim:
-        Hard iteration cap; defaults to ``2 n``.  SRDA uses small fixed
-        values (15–20) per the paper.
+    atol, btol, conlim, iter_lim, record_history, precondition:
+        As in :func:`~repro.linalg.block_lsqr.block_lsqr`.
     x0:
-        Optional warm start; internally LSQR solves for the correction
-        ``x - x0`` against the shifted residual.
-    record_history:
-        Keep ``r2norm`` per iteration (used by the convergence ablation).
+        Optional warm start of length ``n``.
     on_iteration:
         Optional observability hook called with one
-        :class:`~repro.observability.hooks.IterationEvent` per counted
-        iteration — the firing count always equals the returned
-        ``itn``, including on divergence (events fired at an istop=8
-        break carry the last finite diagnostics).
-    precondition:
-        Optional right preconditioner from
-        :func:`repro.linalg.sketch.build_preconditioner`.  The
-        iteration then runs on ``A R⁻¹`` (with damping and warm starts
-        folded into an explicit augmented system, since LSQR's internal
-        damping would penalize the preconditioned variable ``z`` rather
-        than ``x = R⁻¹ z``) and the solution is mapped back through
-        ``R⁻¹``.  ``r1norm``/``r2norm``/``xnorm`` are recomputed
-        against the *original* system; ``anorm``/``acond``/``arnorm``
-        and the residual history describe the preconditioned system the
-        iteration actually ran on.  For the exact ridge problem the
-        preconditioner should be built with ``alpha = damp²``.
+        :class:`~repro.observability.hooks.IterationEvent`
+        (``solver="lsqr"``, no ``active`` list) per counted iteration —
+        the firing count always equals the returned ``itn``, including
+        on divergence.
     """
     op = as_operator(A)
     m, n = op.shape
-    b = np.asarray(b, dtype=np.float64)
+    b = np.asarray(b)
     if b.shape != (m,):
         raise ValueError(f"b must have length {m}, got shape {b.shape}")
-    if damp < 0:
-        raise ValueError("damp must be non-negative")
-    if iter_lim is None:
-        iter_lim = 2 * n
-    if iter_lim < 0:
-        raise ValueError("iter_lim must be non-negative")
-
-    if precondition is not None:
-        if precondition.n != n:
-            raise ValueError(
-                f"preconditioner dimension {precondition.n} does not "
-                f"match operator column count {n}"
-            )
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=np.float64)
-            if x0.shape != (n,):
-                raise ValueError(f"x0 must have length {n}")
-        # Fold damping (and any warm start) into an explicit augmented
-        # system: LSQR's built-in damp would penalize ‖z‖ = ‖Rx‖, not
-        # ‖x‖, under a right preconditioner.
-        system: LinearOperator = op
-        if damp > 0:
-            system = StackedOperator(
-                op, IdentityOperator(n, scale=damp, dtype=op.dtype)
-            )
-        top = b if x0 is None else b - np.asarray(
-            op.matvec(x0), dtype=np.float64
-        )
-        if damp > 0:
-            tail = np.zeros(n) if x0 is None else -damp * x0
-            rhs = np.concatenate([top, tail])
-        else:
-            rhs = top
-        inner = lsqr(
-            precondition.wrap(system),
-            rhs,
-            damp=0.0,
-            atol=atol,
-            btol=btol,
-            conlim=conlim,
-            iter_lim=iter_lim,
-            record_history=record_history,
-            on_iteration=on_iteration,
-        )
-        x = np.asarray(precondition.apply(inner.x), dtype=np.float64)
-        if x0 is not None:
-            x = x + x0
-        residual = b - np.asarray(op.matvec(x), dtype=np.float64)
-        r1norm = float(np.linalg.norm(residual))
-        xnorm = float(np.linalg.norm(x))
-        return LSQRResult(
-            x=x,
-            istop=inner.istop,
-            itn=inner.itn,
-            r1norm=r1norm,
-            r2norm=float(np.sqrt(r1norm**2 + (damp * xnorm) ** 2)),
-            anorm=inner.anorm,
-            acond=inner.acond,
-            arnorm=inner.arnorm,
-            xnorm=xnorm,
-            residual_history=inner.residual_history,
-        )
-
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
+        x0 = np.asarray(x0)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}")
-        if damp > 0:
-            # Warm-starting the damped problem needs care: solving for
-            # the correction d = x − x0 must penalize ‖x0 + d‖, not
-            # ‖d‖.  Solve the explicit augmented system
-            #   [A; damp·I] d ≈ [b − A·x0; −damp·x0]
-            # with the plain (damp = 0) iteration, then shift back.
-            stacked = StackedOperator(
-                op, IdentityOperator(n, scale=damp, dtype=op.dtype)
-            )
-            extended_b = np.concatenate(
-                [b - op.matvec(x0), -damp * x0]
-            )
-            inner = lsqr(
-                stacked,
-                extended_b,
-                damp=0.0,
-                atol=atol,
-                btol=btol,
-                conlim=conlim,
-                iter_lim=iter_lim,
-                record_history=record_history,
-                on_iteration=on_iteration,
-            )
-            x = inner.x + x0
-            residual = b - op.matvec(x)
-            return LSQRResult(
-                x=x,
-                istop=inner.istop,
-                itn=inner.itn,
-                r1norm=float(np.linalg.norm(residual)),
-                r2norm=float(
-                    np.sqrt(
-                        np.linalg.norm(residual) ** 2
-                        + (damp * np.linalg.norm(x)) ** 2
-                    )
-                ),
-                anorm=inner.anorm,
-                acond=inner.acond,
-                arnorm=inner.arnorm,
-                xnorm=float(np.linalg.norm(x)),
-                residual_history=inner.residual_history,
-            )
+        x0 = x0[:, None]
+    return block_lsqr(
+        op,
+        b[:, None],
+        damp=damp,
+        atol=atol,
+        btol=btol,
+        conlim=conlim,
+        iter_lim=iter_lim,
+        X0=x0,
+        record_history=record_history,
+        on_iteration=None if on_iteration is None else _relabel(on_iteration),
+        precondition=precondition,
+    ).column(0)
 
-    x = np.zeros(n)
-    u = b.copy()
-    if x0 is not None:
-        u = u - op.matvec(x0)
 
-    history: List[float] = []
-
-    itn = 0
-    istop = 0
-    ctol = 1.0 / conlim if conlim > 0 else 0.0
-    anorm = 0.0
-    acond = 0.0
-    dampsq = damp * damp
-    ddnorm = 0.0
-    res2 = 0.0
-    xnorm = 0.0
-    xxnorm = 0.0
-    z = 0.0
-    cs2 = -1.0
-    sn2 = 0.0
-
-    alfa = 0.0
-    beta = np.linalg.norm(u)
-    v = np.zeros(n)
-    if beta > 0:
-        u /= beta
-        v = op.rmatvec(u)
-        alfa = np.linalg.norm(v)
-        if alfa > 0:
-            v /= alfa
-    w = v.copy()
-
-    rhobar = alfa
-    phibar = beta
-    bnorm = beta
-    rnorm = beta
-    r1norm = rnorm
-    r2norm = rnorm
-    arnorm = alfa * beta
-
-    if arnorm == 0.0:
-        # b lies in the null space of Aᵀ (or b == 0): x = x0 is optimal.
-        x_final = x if x0 is None else x + x0
-        return LSQRResult(
-            x=x_final,
-            istop=0,
-            itn=0,
-            r1norm=r1norm,
-            r2norm=r2norm,
-            anorm=0.0,
-            acond=0.0,
-            arnorm=0.0,
-            xnorm=float(np.linalg.norm(x_final)),
-            residual_history=history,
-        )
-
-    prev_r2norm = r2norm
-    stalled_iterations = 0
-
-    def _notify(current_istop: int) -> None:
-        # Exactly one event per counted iteration: every `break` below
-        # is preceded by a call, and the loop bottom covers the
-        # continuing path.  Early breaks (non-finite beta/alfa) fire
-        # with the last finite diagnostics.
-        if on_iteration is not None:
-            on_iteration(
-                IterationEvent(
-                    solver="lsqr",
-                    itn=itn,
-                    r2norm=float(r2norm),
-                    arnorm=float(arnorm),
-                    istop=current_istop,
-                )
-            )
-
-    while itn < iter_lim:
-        itn += 1
-        # Continue the bidiagonalization: beta*u = A v - alfa*u
-        u = op.matvec(v) - alfa * u
-        beta = np.linalg.norm(u)
-        if not np.isfinite(beta):
-            # A NaN/Inf entered through the operator (or the iteration
-            # diverged); x still holds the last finite iterate.
-            istop = 8
-            _notify(istop)
-            break
-        if beta > 0:
-            u /= beta
-            anorm = np.sqrt(anorm**2 + alfa**2 + beta**2 + dampsq)
-            v = op.rmatvec(u) - beta * v
-            alfa = np.linalg.norm(v)
-            if not np.isfinite(alfa):
-                istop = 8
-                _notify(istop)
-                break
-            if alfa > 0:
-                v /= alfa
-        else:
-            anorm = np.sqrt(anorm**2 + alfa**2 + dampsq)
-
-        # Eliminate the damping parameter with a rotation.
-        if damp > 0:
-            rhobar1 = np.sqrt(rhobar**2 + dampsq)
-            cs1 = rhobar / rhobar1
-            sn1 = damp / rhobar1
-            psi = sn1 * phibar
-            phibar = cs1 * phibar
-        else:
-            rhobar1 = rhobar
-            psi = 0.0
-
-        # Plane rotation to eliminate the subdiagonal of the bidiagonal.
-        rho = np.sqrt(rhobar1**2 + beta**2)
-        cs = rhobar1 / rho
-        sn = beta / rho
-        theta = sn * alfa
-        rhobar = -cs * alfa
-        phi = cs * phibar
-        phibar = sn * phibar
-        tau = sn * phi
-
-        # Update x and the search direction w.
-        t1 = phi / rho
-        t2 = -theta / rho
-        dk = w / rho
-        x += t1 * w
-        w = v + t2 * w
-        ddnorm += np.linalg.norm(dk) ** 2
-
-        # Estimate ‖x‖ (uses another rotation to account for damping).
-        delta = sn2 * rho
-        gambar = -cs2 * rho
-        rhs = phi - delta * z
-        zbar = rhs / gambar
-        xnorm = np.sqrt(xxnorm + zbar**2)
-        gamma = np.sqrt(gambar**2 + theta**2)
-        cs2 = gambar / gamma
-        sn2 = theta / gamma
-        z = rhs / gamma
-        xxnorm += z**2
-
-        # Convergence diagnostics.
-        acond = anorm * np.sqrt(ddnorm)
-        res1 = phibar**2
-        res2 += psi**2
-        rnorm = np.sqrt(res1 + res2)
-        arnorm = alfa * abs(tau)
-
-        r1sq = rnorm**2 - dampsq * xxnorm
-        r1norm = np.sqrt(abs(r1sq))
-        if r1sq < 0:
-            r1norm = -r1norm
-        r2norm = rnorm
-
-        if record_history:
-            history.append(float(r2norm))
-
-        test1 = rnorm / bnorm if bnorm > 0 else 0.0
-        test2 = arnorm / (anorm * rnorm) if anorm * rnorm > 0 else 0.0
-        test3 = 1.0 / acond if acond > 0 else 0.0
-
-        if not np.isfinite(r2norm) or not np.isfinite(xnorm):
-            istop = 8
-            _notify(istop)
-            break
-        # Stagnation: several consecutive iterations with no residual
-        # progress while *both* residual and optimality tests are still
-        # far from firing.  A plateau at the least-squares optimum is
-        # normal (arnorm → 0 makes test2 tiny) and is NOT flagged — this
-        # only catches runs that stopped improving short of any answer.
-        if prev_r2norm - r2norm <= _STAGNATION_RTOL * max(prev_r2norm, 1.0):
-            stalled_iterations += 1
-        else:
-            stalled_iterations = 0
-        prev_r2norm = r2norm
-        if (
-            stalled_iterations >= _STAGNATION_WINDOW
-            and test1 > _STAGNATION_FLOOR
-            and test2 > _STAGNATION_FLOOR
-        ):
-            istop = 9
-            _notify(istop)
-            break
-        t1_stop = test1 / (1 + anorm * xnorm / bnorm) if bnorm > 0 else 0.0
-        rtol = btol + atol * anorm * xnorm / bnorm if bnorm > 0 else 0.0
-
-        # Stopping rules, checked loosest first so istop records the
-        # strongest condition that fired.
-        if itn >= iter_lim:
-            istop = 7
-        if 1 + test3 <= 1:
-            istop = 6
-        if 1 + test2 <= 1:
-            istop = 5
-        if 1 + t1_stop <= 1:
-            istop = 4
-        if test3 <= ctol:
-            istop = 3
-        if test2 <= atol:
-            istop = 2
-        if test1 <= rtol:
-            istop = 1
-        _notify(istop)
-        if istop != 0:
-            break
-
-    if x0 is not None:
-        x = x + x0
-        xnorm = float(np.linalg.norm(x))
-
-    return LSQRResult(
-        x=x,
-        istop=istop,
-        itn=itn,
-        r1norm=float(r1norm),
-        r2norm=float(r2norm),
-        anorm=float(anorm),
-        acond=float(acond),
-        arnorm=float(arnorm),
-        xnorm=float(xnorm),
-        residual_history=history,
+def _relabel(hook: IterationHook) -> IterationHook:
+    """``hook`` fed single-RHS events: ``solver="lsqr"``, no ``active``."""
+    return lambda event: hook(
+        dataclasses.replace(event, solver="lsqr", active=None)
     )
 
 

@@ -19,7 +19,9 @@ matrix-free at block width — centering becomes one base ``matmat`` plus
 a rank-one correction instead of ``k`` corrected mat-vecs.  Operators
 without a specialized block product fall back to a per-column sweep of
 ``_matvec``, which keeps per-column semantics (fault injection, counts)
-identical to the sequential path.
+identical to the sequential path.  A one-column block is sent to
+``matvec``/``rmatvec``, so a one-column solve counts and runs as
+mat-vecs.
 
 Operators compose, transpose, and count their products (for the empirical
 complexity validation in :mod:`repro.complexity.counter`).
@@ -120,6 +122,9 @@ class LinearOperator:
             )
         if B.shape[1] == 0:
             return np.empty((self.shape[0], 0), dtype=self.dtype)
+        if B.shape[1] == 1:
+            # A one-column block is a mat-vec: counted and run as one.
+            return self.matvec(B[:, 0])[:, None]
         self.n_matmat += 1
         return self._matmat(B)
 
@@ -134,6 +139,8 @@ class LinearOperator:
             )
         if U.shape[1] == 0:
             return np.empty((self.shape[1], 0), dtype=self.dtype)
+        if U.shape[1] == 1:
+            return self.rmatvec(U[:, 0])[:, None]
         self.n_rmatmat += 1
         return self._rmatmat(U)
 

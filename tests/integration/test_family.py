@@ -14,6 +14,11 @@ from repro import (
     SpectralRegressionEmbedding,
     SRDA,
 )
+from repro.baselines import ridge as ridge_module
+from repro.baselines.ridge import RidgeClassifier
+from repro.core import semi_supervised as semi_supervised_module
+from repro.core import spectral_embedding as spectral_embedding_module
+from repro.core.solver_config import SolverConfig
 from repro.eval.classifiers import NearestCentroid
 
 
@@ -93,3 +98,55 @@ class TestFamilyConsistency:
         ):
             with pytest.raises(ValueError):
                 model.fit(X, y_bad)
+
+
+@pytest.mark.parametrize(
+    "module, operator, make",
+    [
+        (
+            ridge_module,
+            "AppendOnesOperator",
+            lambda: RidgeClassifier(
+                config=SolverConfig(solver="lsqr"), max_iter=6, tol=0.0
+            ),
+        ),
+        (
+            semi_supervised_module,
+            "CenteringOperator",
+            lambda: SemiSupervisedSRDA(
+                config=SolverConfig(solver="lsqr"), max_iter=6, tol=0.0
+            ),
+        ),
+        (
+            spectral_embedding_module,
+            "CenteringOperator",
+            lambda: SpectralRegressionEmbedding(
+                n_components=4, solver="lsqr", max_iter=6, tol=0.0
+            ),
+        ),
+    ],
+    ids=["ridge", "semi_supervised", "spectral_embedding"],
+)
+def test_lsqr_members_share_each_pass_across_columns(
+    monkeypatch, module, operator, make
+):
+    """One forward and one adjoint block product per LSQR iteration,
+    whatever the number of regression columns."""
+    rng = np.random.default_rng(5)
+    centers = 5.0 * rng.standard_normal((5, 18))
+    y = np.repeat(np.arange(5), 20)
+    X = centers[y] + rng.standard_normal((100, 18))
+    built = []
+    cls = getattr(module, operator)
+
+    def build(*args, **kwargs):
+        built.append(cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, operator, build)
+    model = make().fit(X, y)
+    [op] = built
+    iterations = max(model.lsqr_iterations_)
+    assert len(model.lsqr_iterations_) >= 4 and iterations == 6
+    assert (op.n_matmat, op.n_rmatmat) == (iterations, iterations + 1)
+    assert (op.n_matvec, op.n_rmatvec) == (0, 0)

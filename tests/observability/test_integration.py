@@ -80,20 +80,6 @@ class TestSRDATracing:
         ]
         assert len(iteration_events) == max(model.lsqr_iterations_)
 
-    def test_sequential_lsqr_event_count_matches_iterations(
-        self, small_classification
-    ):
-        X, y = small_classification
-        model = SRDA(
-            alpha=1.0, solver="lsqr", block=False, max_iter=12, tol=1e-8,
-            trace=True,
-        ).fit(X, y)
-        events = model.tracer_.sink.find("srda.solve")[0]["events"]
-        iteration_events = [
-            e for e in events if e["name"] == "lsqr.iteration"
-        ]
-        assert len(iteration_events) == sum(model.lsqr_iterations_)
-
     def test_lsqr_path_counts_flam(self, small_classification):
         X, y = small_classification
         model = SRDA(alpha=1.0, solver="lsqr", trace=True).fit(X, y)

@@ -1,5 +1,7 @@
 """Unit tests for model serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,38 @@ class TestRoundTrip:
         model = models["SRDA"]
         loaded = load_model(save_model(model, tmp_path / "s"))
         assert loaded.score(X, y) == model.score(X, y)
+
+
+class TestOldArchives:
+    @pytest.mark.parametrize("block", [True, False])
+    def test_srda_archive_with_block_switch_loads(
+        self, fitted_models, tmp_path, block
+    ):
+        """Archives may carry the retired ``block`` constructor switch."""
+        X, _, models = fitted_models
+        model = models["SRDA"]
+        params = {
+            "alpha": 0.5,
+            "centering": "auto",
+            "max_iter": 25,
+            "tol": 1e-10,
+            "solver": "auto",
+            "block": block,
+        }
+        path = tmp_path / "old.npz"
+        np.savez(
+            path,
+            model_type=np.array("SRDA"),
+            params_json=np.array(json.dumps(params)),
+            components_=model.components_,
+            intercept_=model.intercept_,
+            classes_=model.classes_,
+            centroids_=model.centroids_,
+        )
+        loaded = load_model(path)
+        assert not hasattr(loaded, "block")
+        assert loaded.max_iter == 25
+        assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
 class TestValidation:
