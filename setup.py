@@ -25,7 +25,11 @@ if numpy is not None:
         include_dirs=[numpy.get_include()],
         # -O3 but NOT -ffast-math: the bitwise contract with the numpy
         # reference forbids reassociation of the accumulation order.
-        extra_compile_args=["-O3"],
+        # -ffp-contract=off keeps `acc += d * b` a rounded product then a
+        # rounded sum, as numpy computes it; GCC's default contracts it
+        # into one FMA wherever the target has FMA in its baseline
+        # (aarch64, say).  x86-64 code is unchanged.
+        extra_compile_args=["-O3", "-ffp-contract=off"],
         optional=True,
     )
     ext_modules.append(csr_kernels)

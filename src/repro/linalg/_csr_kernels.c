@@ -9,7 +9,7 @@
  * - float64 mat-vec / adjoint reductions mirror numpy's ``bincount``:
  *   a zero-initialized output receives one sequential scatter-add per
  *   stored entry, in storage order.
- * - float32 reductions and every ``matmat`` column sweep mirror
+ * - float32 reductions and every ``matmat`` output column mirror
  *   ``np.add.reduceat``: each segment reduces as
  *   ``seg[0] + pairwise_sum(seg[1:])`` where ``pairwise_sum`` is
  *   numpy's pairwise algorithm (8-accumulator blocks up to 128
@@ -18,6 +18,13 @@
  *   (numpy/_core/src/umath/loops.c.src); the tests assert bit equality
  *   against the live numpy, so a silent ordering change in either
  *   implementation fails loudly.
+ * - ``matmat`` streams rows: it reads each row's stored entries once
+ *   and walks the same pairwise tree for all k columns at once, with
+ *   k-wide accumulators.  Per column the additions are the reference's,
+ *   in the reference's order.
+ *
+ * The build passes -ffp-contract=off (setup.py): a fused multiply-add
+ * rounds once where the reference's product-then-sum rounds twice.
  *
  * All inner loops run between Py_BEGIN_ALLOW_THREADS /
  * Py_END_ALLOW_THREADS — no Python objects are touched inside — which
@@ -34,6 +41,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_22_API_VERSION
 #include <Python.h>
 #include <numpy/arrayobject.h>
+#include <math.h>
 #include <stdlib.h>
 
 /* ------------------------------------------------------------------ */
@@ -42,12 +50,25 @@
 
 #define PW_BLOCKSIZE 128
 
+#if defined(_MSC_VER)
+#define CSR_RESTRICT __restrict
+#else
+#define CSR_RESTRICT __restrict__
+#endif
+
+/* numpy's short pairwise loop (n < 8) seeds its accumulator with -0.0
+ * in recent releases, so a sum of negative zeros keeps its sign; older
+ * releases seed it with +0.0.  probe_pairwise_seed reads the seed off
+ * the live numpy once, at import. */
+static npy_double pw_seed_f64 = 0.0;
+static npy_float pw_seed_f32 = 0.0f;
+
 #define DEFINE_PAIRWISE(T, SUF)                                          \
     static T pairwise_sum_##SUF(const T *a, npy_intp n)                  \
     {                                                                    \
         if (n < 8) {                                                     \
             npy_intp i;                                                  \
-            T res = (T)0.0;                                              \
+            T res = pw_seed_##SUF;                                       \
             for (i = 0; i < n; i++) {                                    \
                 res += a[i];                                             \
             }                                                            \
@@ -112,7 +133,7 @@ matvec_scatter_f64(const npy_double *data, const npy_int64 *indices,
     }
 }
 
-/* A @ v / A @ B column, reduceat order over row segments. */
+/* A @ v, reduceat order over row segments. */
 #define DEFINE_MATVEC_SEGMENTS(T, SUF)                                   \
     static void matvec_segments_##SUF(                                   \
         const T *data, const npy_int64 *indices, const npy_int64 *indptr,\
@@ -234,30 +255,112 @@ reduce_adjoint_scatter_f64(const npy_int64 *indices,
 DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_double, f64)
 DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_float, f32)
 
-/* A @ B for a dense F-ordered block: one reduceat-order column sweep
- * per output column, fused gather-multiply into a small scratch.
- * Column base pointers advance by the block's column stride (ldb/ldo),
- * matching the reference's per-column ``out[:, j] = reduceat(...)``. */
+/* A @ B for a dense C-ordered block, streamed row by row: each CSR
+ * row's stored entries are read once and update all k output columns
+ * together.  Element (t, j) is data[t] * B[indices[t], j], formed on the
+ * fly, so the gathered operand row B[indices[t], :] is contiguous.  Each
+ * output column keeps the reference's reduceat order exactly,
+ * seg[0] + pairwise(seg[1:]), with pairwise_rows walking pairwise_sum's
+ * tree once for all k columns: its accumulators are k-wide rows, so the
+ * inner j loops vectorise.
+ *
+ * ``work`` holds k * (1 + 8 + depth) values: the pairwise result row,
+ * the 8 accumulator rows, and one right-half partial per recursion
+ * level (pairwise_depth).  ``out`` is F-ordered with column stride ldo,
+ * matching the reference's per-column ``out[:, j]``. */
 #define DEFINE_MATMAT(T, SUF)                                            \
+    static void pairwise_rows_##SUF(                                     \
+        const T *data, const npy_int64 *indices, npy_intp n,             \
+        const T *B, npy_intp k, T *CSR_RESTRICT res,                     \
+        T *CSR_RESTRICT acc, T *CSR_RESTRICT stack)                      \
+    {                                                                    \
+        npy_intp i, j, u;                                                \
+        if (n < 8) {                                                     \
+            const T seed = pw_seed_##SUF;                                \
+            for (j = 0; j < k; j++) {                                    \
+                res[j] = seed;                                           \
+            }                                                            \
+            for (i = 0; i < n; i++) {                                    \
+                const T d = data[i];                                     \
+                const T *b = B + indices[i] * k;                         \
+                for (j = 0; j < k; j++) {                                \
+                    res[j] += d * b[j];                                  \
+                }                                                        \
+            }                                                            \
+        }                                                                \
+        else if (n <= PW_BLOCKSIZE) {                                    \
+            for (u = 0; u < 8; u++) {                                    \
+                const T d = data[u];                                     \
+                const T *b = B + indices[u] * k;                         \
+                T *r = acc + u * k;                                      \
+                for (j = 0; j < k; j++) {                                \
+                    r[j] = d * b[j];                                     \
+                }                                                        \
+            }                                                            \
+            for (i = 8; i < n - (n % 8); i += 8) {                       \
+                for (u = 0; u < 8; u++) {                                \
+                    const T d = data[i + u];                             \
+                    const T *b = B + indices[i + u] * k;                 \
+                    T *r = acc + u * k;                                  \
+                    for (j = 0; j < k; j++) {                            \
+                        r[j] += d * b[j];                                \
+                    }                                                    \
+                }                                                        \
+            }                                                            \
+            for (j = 0; j < k; j++) {                                    \
+                res[j] = ((acc[j] + acc[k + j]) +                        \
+                          (acc[2 * k + j] + acc[3 * k + j])) +           \
+                         ((acc[4 * k + j] + acc[5 * k + j]) +            \
+                          (acc[6 * k + j] + acc[7 * k + j]));            \
+            }                                                            \
+            for (; i < n; i++) {                                         \
+                const T d = data[i];                                     \
+                const T *b = B + indices[i] * k;                         \
+                for (j = 0; j < k; j++) {                                \
+                    res[j] += d * b[j];                                  \
+                }                                                        \
+            }                                                            \
+        }                                                                \
+        else {                                                           \
+            npy_intp n2 = n / 2;                                         \
+            n2 -= n2 % 8;                                                \
+            pairwise_rows_##SUF(data, indices, n2, B, k, res, acc,       \
+                                stack);                                  \
+            pairwise_rows_##SUF(data + n2, indices + n2, n - n2, B, k,   \
+                                stack, acc, stack + k);                  \
+            for (j = 0; j < k; j++) {                                    \
+                res[j] += stack[j];                                      \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+                                                                         \
     static void matmat_##SUF(                                            \
         const T *data, const npy_int64 *indices, const npy_int64 *indptr,\
-        npy_intp n_rows, npy_intp n_cols_B, const T *B, npy_intp ldb,    \
-        T *out, npy_intp ldo, T *scratch)                                \
+        npy_intp n_rows, npy_intp k, const T *B, T *out, npy_intp ldo,   \
+        T *work)                                                         \
     {                                                                    \
-        npy_intp j, r;                                                   \
-        for (j = 0; j < n_cols_B; j++) {                                 \
-            const T *Bj = B + j * ldb;                                   \
-            T *outj = out + j * ldo;                                     \
-            for (r = 0; r < n_rows; r++) {                               \
-                npy_int64 i, start = indptr[r], end = indptr[r + 1];     \
-                npy_intp len = (npy_intp)(end - start), t = 0;           \
-                if (len == 0) {                                          \
-                    continue;                                            \
+        T *res = work, *acc = work + k, *stack = work + 9 * k;           \
+        npy_intp r, j;                                                   \
+        for (r = 0; r < n_rows; r++) {                                   \
+            npy_int64 start = indptr[r], end = indptr[r + 1];            \
+            T d0;                                                        \
+            const T *b0;                                                 \
+            if (end == start) {                                          \
+                continue; /* empty rows stay zero */                     \
+            }                                                            \
+            d0 = data[start];                                            \
+            b0 = B + indices[start] * k;                                 \
+            if (end - start == 1) {                                      \
+                for (j = 0; j < k; j++) {                                \
+                    out[r + j * ldo] = d0 * b0[j];                       \
                 }                                                        \
-                for (i = start; i < end; i++, t++) {                     \
-                    scratch[t] = data[i] * Bj[indices[i]];               \
-                }                                                        \
-                outj[r] = segment_reduce_##SUF(scratch, len);            \
+                continue;                                                \
+            }                                                            \
+            pairwise_rows_##SUF(data + start + 1, indices + start + 1,   \
+                                (npy_intp)(end - start - 1), B, k, res,  \
+                                acc, stack);                             \
+            for (j = 0; j < k; j++) {                                    \
+                out[r + j * ldo] = d0 * b0[j] + res[j];                  \
             }                                                            \
         }                                                                \
     }
@@ -315,6 +418,20 @@ max_col_segment(const npy_int64 *starts, npy_intp n_segments, npy_intp nnz)
         }
     }
     return best;
+}
+
+/* Recursion levels pairwise_rows takes on n entries.  Either half of a
+ * split holds at most n / 2 + 8 entries, so iterating that bound until
+ * it fits one block counts every level any branch can reach. */
+static npy_intp
+pairwise_depth(npy_intp n)
+{
+    npy_intp depth = 0;
+    while (n > PW_BLOCKSIZE) {
+        n = n / 2 + 8;
+        depth++;
+    }
+    return depth;
 }
 
 /* ------------------------------------------------------------------ */
@@ -689,10 +806,10 @@ py_csr_matmat(PyObject *self, PyObject *args)
         return NULL;
     }
     if (PyArray_TYPE(B) != typenum || PyArray_NDIM(B) != 2 ||
-        !PyArray_IS_F_CONTIGUOUS(B)) {
+        !PyArray_IS_C_CONTIGUOUS(B)) {
         PyErr_SetString(PyExc_ValueError,
-                        "B must be a Fortran-contiguous 2-D block of the "
-                        "data dtype");
+                        "B must be a C-contiguous 2-D block of the data "
+                        "dtype");
         return NULL;
     }
     if (PyArray_TYPE(out) != typenum || PyArray_NDIM(out) != 2 ||
@@ -710,43 +827,45 @@ py_csr_matmat(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
         return NULL;
     }
+    if (k == 0) {
+        Py_RETURN_NONE;
+    }
     {
         const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
         const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
-        npy_intp ldb = PyArray_DIM(B, 0);
         npy_intp ldo = n_rows;
-        npy_intp cap = max_segment(ip, n_rows);
+        size_t cap = (size_t)k *
+            (size_t)(1 + 8 + pairwise_depth(max_segment(ip, n_rows) - 1));
         int failed = 0;
         if (typenum == NPY_DOUBLE) {
             const npy_double *d = (const npy_double *)PyArray_DATA(data);
             const npy_double *b = (const npy_double *)PyArray_DATA(B);
             npy_double *o = (npy_double *)PyArray_DATA(out);
-            npy_double *scratch =
-                (npy_double *)malloc((size_t)cap * sizeof(npy_double));
-            if (scratch == NULL) {
+            npy_double *work =
+                (npy_double *)malloc(cap * sizeof(npy_double));
+            if (work == NULL) {
                 failed = 1;
             }
             else {
                 Py_BEGIN_ALLOW_THREADS
-                matmat_f64(d, ind, ip, n_rows, k, b, ldb, o, ldo, scratch);
+                matmat_f64(d, ind, ip, n_rows, k, b, o, ldo, work);
                 Py_END_ALLOW_THREADS
-                free(scratch);
+                free(work);
             }
         }
         else {
             const npy_float *d = (const npy_float *)PyArray_DATA(data);
             const npy_float *b = (const npy_float *)PyArray_DATA(B);
             npy_float *o = (npy_float *)PyArray_DATA(out);
-            npy_float *scratch =
-                (npy_float *)malloc((size_t)cap * sizeof(npy_float));
-            if (scratch == NULL) {
+            npy_float *work = (npy_float *)malloc(cap * sizeof(npy_float));
+            if (work == NULL) {
                 failed = 1;
             }
             else {
                 Py_BEGIN_ALLOW_THREADS
-                matmat_f32(d, ind, ip, n_rows, k, b, ldb, o, ldo, scratch);
+                matmat_f32(d, ind, ip, n_rows, k, b, o, ldo, work);
                 Py_END_ALLOW_THREADS
-                free(scratch);
+                free(work);
             }
         }
         if (failed) {
@@ -776,8 +895,8 @@ static PyMethodDef csr_kernel_methods[] = {
      METH_VARARGS, "Adjoint reduction into a zeroed out via column "
      "segments, reduceat order."},
     {"csr_matmat", py_csr_matmat, METH_VARARGS,
-     "A @ B for F-contiguous B into a zeroed F-contiguous out, reduceat "
-     "order per column."},
+     "A @ B for C-contiguous B into a zeroed F-contiguous out, one pass "
+     "over each row for all columns, reduceat order per column."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -789,11 +908,55 @@ static struct PyModuleDef csr_kernels_module = {
     csr_kernel_methods,
 };
 
+/* reduceat([-0.0, -0.0, -0.0], [0]) is -0.0 + (seed + -0.0 + -0.0),
+ * whose sign is the seed's. */
+static int
+probe_pairwise_seed(void)
+{
+    npy_intp dims[1] = {3};
+    PyObject *numpy, *add = NULL, *values = NULL, *sums = NULL;
+    PyObject *first = NULL;
+    int ok = 0;
+
+    numpy = PyImport_ImportModule("numpy");
+    if (numpy != NULL) {
+        add = PyObject_GetAttrString(numpy, "add");
+    }
+    if (add != NULL) {
+        values = PyArray_SimpleNew(1, dims, NPY_DOUBLE);
+    }
+    if (values != NULL) {
+        npy_double *v = (npy_double *)PyArray_DATA((PyArrayObject *)values);
+        v[0] = v[1] = v[2] = -0.0;
+        sums = PyObject_CallMethod(add, "reduceat", "O[i]", values, 0);
+    }
+    if (sums != NULL) {
+        first = PySequence_GetItem(sums, 0);
+    }
+    if (first != NULL) {
+        double seed = PyFloat_AsDouble(first);
+        if (!PyErr_Occurred()) {
+            pw_seed_f64 = signbit(seed) ? -0.0 : 0.0;
+            pw_seed_f32 = (npy_float)pw_seed_f64;
+            ok = 1;
+        }
+    }
+    Py_XDECREF(first);
+    Py_XDECREF(sums);
+    Py_XDECREF(values);
+    Py_XDECREF(add);
+    Py_XDECREF(numpy);
+    return ok;
+}
+
 PyMODINIT_FUNC
 PyInit__csr_kernels(void)
 {
     PyObject *module;
     import_array();
+    if (!probe_pairwise_seed()) {
+        return NULL;
+    }
     module = PyModule_Create(&csr_kernels_module);
     if (module == NULL) {
         return NULL;

@@ -365,6 +365,11 @@ def csr_matmat(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
 
     Complexity: O(nnz·c) for a ``c``-column block — identical flam to
     ``c`` mat-vecs on either backend.
+
+    The compiled kernel streams rows: it reads each stored entry once
+    and updates all ``c`` columns of its row, so it takes ``B``
+    C-ordered (each gathered row ``B[j, :]`` contiguous) and returns
+    the reference's zeroed, F-ordered block.
     """
     B = as_value_dtype(B)
     if active_backend() != "compiled" or not _storage_ok(matrix):
@@ -379,9 +384,9 @@ def csr_matmat(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
     dtype = np.result_type(matrix.data, B)
     if dtype != matrix.dtype:
         return matrix.matmat(B)
-    Bf = np.asfortranarray(B, dtype=dtype)
+    Bc = np.ascontiguousarray(B, dtype=dtype)
     out = np.zeros((matrix.shape[0], k), dtype=dtype, order="F")
-    _compiled.csr_matmat(matrix.data, matrix.indices, matrix.indptr, Bf, out)
+    _compiled.csr_matmat(matrix.data, matrix.indices, matrix.indptr, Bc, out)
     return out
 
 
@@ -392,7 +397,7 @@ def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
     O(nnz log nnz) transpose build, amortized over every later block.
 
     Routed through the (lazily cached) transpose exactly as the
-    reference is, so the forward sweep kernel — whichever backend — is
+    reference is, so the forward block kernel — whichever backend — is
     reused and the result stays bitwise-stable.
     """
     U = as_value_dtype(U)

@@ -34,7 +34,8 @@ can run at half the traffic.  Any other dtype is upcast to float64.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,7 +89,11 @@ class CSRMatrix:
         self._row_ids_cache: Optional[IntArray] = None
         self._nonempty_rows_cache: Optional[IntArray] = None
         self._col_cache: Optional[Tuple[IntArray, IntArray, IntArray]] = None
-        self._transpose_cache: Optional["CSRMatrix"] = None
+        # The transpose a matrix built, or (on that transpose) a weak
+        # reference back to the matrix it was built from.
+        self._transpose_cache: Union[
+            "CSRMatrix", "weakref.ReferenceType[CSRMatrix]", None
+        ] = None
         self._validate()
 
     @property
@@ -237,11 +242,20 @@ class CSRMatrix:
         Complexity: O(nnz log nnz) on the first call (the column sort);
         O(1) afterwards.
 
-        Cached after the first call (and back-linked, so ``A.T.T is A``):
-        ``rmatmat`` reuses it on every block product, and the stored
-        arrays are treated as immutable throughout the package.
+        Cached after the first call: ``rmatmat`` reuses it on every block
+        product, and the stored arrays are treated as immutable throughout
+        the package.  The transpose links back *weakly*, so ``A.T.T is A``
+        while ``A`` is alive, yet ``A`` and its transpose form no reference
+        cycle: both are freed as soon as ``A`` is dropped, without waiting
+        for a cyclic garbage collection.
         """
-        if self._transpose_cache is None:
+        cache = self._transpose_cache
+        if isinstance(cache, weakref.ref):
+            source = cache()
+            if source is not None:
+                return source
+            cache = None  # the matrix this was built from is gone
+        if cache is None:
             n_rows, n_cols = self.shape
             order, _, _ = self._col_segments
             new_indices = self._row_ids[order]
@@ -249,12 +263,29 @@ class CSRMatrix:
             counts = np.bincount(self.indices, minlength=n_cols)
             new_indptr = np.zeros(n_cols + 1, dtype=np.int64)
             new_indptr[1:] = np.cumsum(counts)
-            transpose = CSRMatrix(
+            cache = CSRMatrix(
                 new_data, new_indices, new_indptr, (n_cols, n_rows)
             )
-            transpose._transpose_cache = self
-            self._transpose_cache = transpose
-        return self._transpose_cache
+            cache._transpose_cache = weakref.ref(self)
+            self._transpose_cache = cache
+        return cache
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A weak reference does not pickle, and a deep copy of one still
+        # points at the original: drop it, and let the copied source
+        # relink its copied transpose in __setstate__.
+        state = self.__dict__.copy()
+        if isinstance(state["_transpose_cache"], weakref.ref):
+            state["_transpose_cache"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        transpose = self._transpose_cache
+        if isinstance(transpose, CSRMatrix) and (
+            transpose._transpose_cache is None
+        ):
+            transpose._transpose_cache = weakref.ref(self)
 
     def row_nnz(self) -> IntArray:
         """Number of non-zeros in each row (the paper's ``s`` statistic)."""

@@ -289,9 +289,8 @@ def _clear_shard_cache() -> None:
     Registered *after* :mod:`repro.parallel.shm`'s attachment cleanup
     (atexit is LIFO), so by the time the worker unmaps its attached
     blocks no cached ndarray still pins a buffer.  The explicit
-    collection matters: a CSR shard and its lazily built transpose
-    back-link each other (``A.T.T is A``), a cycle refcounting alone
-    never frees.
+    collection frees anything a reference cycle still holds, so no
+    cached view outlives the unmap.
     """
     _SHARD_CACHE.clear()
     gc.collect()
@@ -799,6 +798,10 @@ class ShardedOperator(LinearOperator):
         if self._direct is not None:
             return self._direct.matmat(B)
         out_dtype = np.result_type(self.dtype, B.dtype)
+        if self._mode == "csr":
+            # Every shard reads the whole operand; the row-streamed
+            # kernel wants it C-ordered, so convert once, not per shard.
+            B = np.ascontiguousarray(B)
         return self._run(
             "matmat", B, (self.shape[0], B.shape[1]), out_dtype, order="F"
         )

@@ -158,6 +158,104 @@ class TestBitwiseParity:
         assert got.tobytes() == want.tobytes()
 
 
+#: Row lengths that walk every branch of the pairwise tree: empty and
+#: single-entry rows, the plain loop (< 8 after seg[0]), the
+#: 8-accumulator blocks and their tails, and one, two and three or more
+#: levels of recursive halving (> 128, > 256, >= 1100).
+STREAM_ROW_LENGTHS = (0, 1, 2, 7, 8, 9, 128, 129, 257, 1100, 1300)
+
+
+def streamed_matrix(dtype, seed=11):
+    """Rows of every length in STREAM_ROW_LENGTHS, ~10% negative zeros.
+
+    Column indices repeat within a row (CSR permits it) and the signed
+    zeros make the seed of numpy's short pairwise loop visible.
+    """
+    rng = np.random.default_rng(seed)
+    n_cols = 1500
+    lengths = np.asarray(STREAM_ROW_LENGTHS, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = rng.integers(0, n_cols, int(indptr[-1]))
+    data = rng.standard_normal(int(indptr[-1]))
+    data[rng.random(data.size) < 0.1] = -0.0
+    return CSRMatrix(
+        data.astype(dtype), indices, indptr, (lengths.size, n_cols)
+    )
+
+
+def signed_block(rng, shape, dtype, layout):
+    """A dense block with ~10% negative zeros, in the given layout."""
+    block = rng.standard_normal(shape).astype(dtype)
+    block[rng.random(shape) < 0.1] = -0.0
+    if layout == "F":
+        return np.asfortranarray(block)
+    if layout == "strided":
+        wide = np.repeat(block, 2, axis=1)
+        return wide[:, ::2]
+    return block
+
+
+class TestRowStreamedMatmat:
+    """The block kernel reads each row once for all k columns; every
+    output column must still be the reference's reduceat, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 19, 64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matmat_every_row_length(self, backend, dtype, k, layout):
+        matrix = streamed_matrix(dtype)
+        rng = np.random.default_rng(k)
+        B = signed_block(rng, (matrix.shape[1], k), dtype, layout)
+        got = csr_matmat(matrix, B)
+        want = matrix.matmat(B)
+        assert got.dtype == want.dtype
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 19, 64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_rmatmat_every_column_length(self, backend, dtype, k, layout):
+        """The adjoint runs the same kernel on the cached transpose; a
+        transposed operand puts the row lengths on its columns."""
+        adjoint = streamed_matrix(dtype).T
+        rng = np.random.default_rng(100 + k)
+        U = signed_block(rng, (adjoint.shape[0], k), dtype, layout)
+        got = csr_rmatmat(adjoint, U)
+        want = adjoint.rmatmat(U)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("length", [2, 3, 7, 8, 9, 129])
+    def test_all_negative_zero_rows(self, backend, dtype, length):
+        """A row of -0.0 products sums to the sign numpy gives it."""
+        data = np.full(length, -0.0, dtype=dtype)
+        indices = np.zeros(length, dtype=np.int64)
+        matrix = CSRMatrix(data, indices, np.array([0, length]), (1, 1))
+        B = np.ones((1, 3), dtype=dtype)
+        cases = [
+            (csr_matmat(matrix, B), matrix.matmat(B)),
+            (csr_matvec(matrix, B[:, 0]), matrix.matvec(B[:, 0])),
+            (csr_rmatmat(matrix.T, B), matrix.T.rmatmat(B)),
+            (csr_rmatvec(matrix.T, B[:, 0]), matrix.T.rmatvec(B[:, 0])),
+        ]
+        for got, want in cases:
+            assert got.tobytes() == want.tobytes()
+
+    @needs_compiled
+    def test_extension_takes_c_ordered_block(self):
+        matrix = streamed_matrix(np.float64)
+        out = np.zeros((matrix.shape[0], 3), order="F")
+        args = (matrix.data, matrix.indices, matrix.indptr)
+        block = np.ones((matrix.shape[1], 3))
+        kernels._compiled.csr_matmat(*args, block, out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels._compiled.csr_matmat(*args, np.asfortranarray(block), out)
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            kernels._compiled.csr_matmat(*args, block, np.zeros((11, 3)))
+
+
 class TestMixedDtypeRouting:
     """Ineligible calls fall back to the reference — never new numerics."""
 

@@ -1,5 +1,10 @@
 """Unit tests for the from-scratch CSR matrix."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
@@ -152,6 +157,45 @@ class TestTransposeAndSlicing:
         assert np.array_equal(
             CSRMatrix.from_dense(dense).T.T.to_dense(), dense
         )
+
+    def test_transpose_links_back_while_source_alive(self, rng):
+        matrix = CSRMatrix.from_dense(dense_fixture(rng))
+        assert matrix.T.T is matrix
+        assert matrix.T is matrix.T
+
+    def test_transpose_forms_no_reference_cycle(self, rng):
+        """Dropping a matrix frees it (and its cached transpose) by
+        refcount alone; a cyclic collection is never needed."""
+        matrix = CSRMatrix.from_dense(dense_fixture(rng))
+        transpose_ref = weakref.ref(matrix.T)
+        matrix_ref = weakref.ref(matrix)
+        gc.disable()
+        try:
+            del matrix
+            assert matrix_ref() is None
+            assert transpose_ref() is None
+        finally:
+            gc.enable()
+
+    def test_orphaned_transpose_rebuilds_its_transpose(self, rng):
+        dense = dense_fixture(rng)
+        transpose = CSRMatrix.from_dense(dense).T
+        assert np.array_equal(transpose.T.to_dense(), dense)
+        assert transpose.T.T is transpose
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_their_own_transpose_link(self, rng, clone):
+        matrix = CSRMatrix.from_dense(dense_fixture(rng))
+        matrix.T  # build and cache the transpose before copying
+        copied = clone(matrix)
+        assert copied.T is not matrix.T
+        assert copied.T.T is copied
+        assert matrix.T.T is matrix
+        assert np.array_equal(copied.T.to_dense(), matrix.T.to_dense())
 
     def test_take_rows(self, rng):
         dense = dense_fixture(rng)

@@ -422,6 +422,26 @@ class TestFanInBuffers:
             assert first is not second
             assert np.array_equal(first, second)
 
+    def test_forward_block_is_made_c_ordered_once(self, rng, monkeypatch):
+        """Every shard reads the whole forward operand; the coordinator
+        hands them one C-ordered copy, so no shard converts it again."""
+        matrix = skewed_csr(rng, m=600)
+        B = np.asfortranarray(rng.standard_normal((matrix.shape[1], 3)))
+        seen = []
+        shard_matmat = kernels.csr_matmat
+
+        def spy(shard, operand):
+            seen.append(operand)
+            return shard_matmat(shard, operand)
+
+        monkeypatch.setattr(kernels, "csr_matmat", spy)
+        with ShardedOperator(matrix, n_shards=3, backend="serial") as op:
+            got = op.matmat(B)
+        assert len(seen) == 3
+        assert all(operand is seen[0] for operand in seen)
+        assert seen[0].flags.c_contiguous
+        assert got.tobytes() == matrix.matmat(B).tobytes()
+
     def test_repeated_adjoints_are_bitwise_stable(self, rng):
         matrix = skewed_csr(rng, m=600)
         u = rng.standard_normal(matrix.shape[0])

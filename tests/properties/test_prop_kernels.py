@@ -18,8 +18,9 @@ BACKENDS = ("reference",) + (
 )
 
 
-def csr_case(seed):
-    """A random CSR matrix plus conforming operands for every kernel."""
+def csr_case(seed, k):
+    """A random CSR matrix plus conforming operands for every kernel,
+    with ``k``-column blocks for the block products."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 40))
     n = int(rng.integers(1, 30))
@@ -28,7 +29,6 @@ def csr_case(seed):
     dense = rng.standard_normal((m, n))
     dense[rng.random((m, n)) > density] = 0.0
     matrix = CSRMatrix.from_dense(dense.astype(dtype))
-    k = int(rng.integers(1, 5))
     return (
         matrix,
         rng.standard_normal(n).astype(dtype),
@@ -38,10 +38,15 @@ def csr_case(seed):
     )
 
 
+#: Block widths: k = 1 takes the mat-vec route, k >= 2 the row-streamed
+#: block kernel.
+block_widths = st.integers(1, 24)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_dispatch_bitwise_equals_reference(seed):
-    matrix, v, u, B, U = csr_case(seed)
+@given(st.integers(0, 2**31 - 1), block_widths)
+def test_dispatch_bitwise_equals_reference(seed, k):
+    matrix, v, u, B, U = csr_case(seed, k)
     want = (
         matrix.matvec(v),
         matrix.rmatvec(u),
@@ -66,7 +71,7 @@ def test_dispatch_bitwise_equals_reference(seed):
 def test_adjoint_two_stage_bitwise(seed):
     """Shard decomposition (products then reduce) equals the one-shot
     adjoint under every backend — the sharded-rmatvec invariant."""
-    matrix, _, u, _, _ = csr_case(seed)
+    matrix, _, u, _, _ = csr_case(seed, 1)
     want = matrix.rmatvec(u)
     for backend in BACKENDS:
         with kernels.use_backend(backend):
@@ -82,11 +87,11 @@ def test_adjoint_two_stage_bitwise(seed):
     len(BACKENDS) < 2, reason="compiled kernel extension not built"
 )
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_backends_agree_with_each_other(seed):
+@given(st.integers(0, 2**31 - 1), block_widths)
+def test_backends_agree_with_each_other(seed, k):
     """Direct compiled-vs-reference comparison, independent of the
     reference-methods cross-check above."""
-    matrix, v, u, B, U = csr_case(seed)
+    matrix, v, u, B, U = csr_case(seed, k)
     results = {}
     for backend in BACKENDS:
         with kernels.use_backend(backend):
