@@ -8,9 +8,9 @@ Measures what the distributed layer claims and what it must not break:
    and the ratio between them — the wire-level restatement of the
    paper's "touch the data once per iteration" argument.
 2. **Parity**: the distributed solve must be *bitwise identical* to the
-   sharded serial run (``max_rel_diff_vs_serial == 0``) and within the
-   adjoint fold tolerance of the direct path (``<= 1e-12``).  Both are
-   asserted, not just recorded.
+   sharded serial run (``max_rel_diff_vs_serial == 0``) and to the
+   direct path (``max_rel_diff_vs_direct == 0``).  Both are asserted,
+   not just recorded.
 3. **Recovery**: a worker SIGKILLed mid-solve (seeded
    :class:`~repro.distributed.chaos.ChaosPlan`) must still produce the
    bitwise-serial result; the wall-clock penalty and the supervisor's
@@ -59,9 +59,9 @@ def _assert_parity(X, serial_x, direct_x, label):
         f"(max_rel_diff={vs_serial:.3e}); results must not depend on "
         "which process does the arithmetic"
     )
-    assert vs_direct <= 1e-12, (
-        f"{label} drifted {vs_direct:.3e} from the direct path; "
-        "adjoint fold tolerance is 1e-12"
+    assert vs_direct == 0.0, (
+        f"{label} drifted {vs_direct:.3e} from the direct path; sharded "
+        "CSR products must carry the direct kernels' bits"
     )
     return {
         "max_rel_diff_vs_serial": vs_serial,

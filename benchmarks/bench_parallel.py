@@ -8,12 +8,13 @@ Measures what the parallel layer claims and what it must not break:
    (unsharded) path on the paper's 20Newsgroups-like shape
    (m=20000, n=26000, c=20).
 2. **Parity**: every sharded variant must be *bitwise identical* to the
-   sharded serial run (``max_rel_diff_vs_serial == 0``), and within the
-   adjoint fold tolerance of the direct path
-   (``max_rel_diff_vs_direct <= 1e-12``).  Both are asserted, not just
-   recorded.
+   sharded serial run (``max_rel_diff_vs_serial == 0``) and to the
+   direct path (``max_rel_diff_vs_direct == 0``): every sharded CSR
+   product, the adjoint included, writes disjoint output rows with the
+   direct kernels.  Both are asserted, not just recorded.
 3. **Serial overhead**: a single-shard ShardedOperator is a passthrough
-   and must cost <2% over the direct path.
+   and must cost at most ``direct·1.02 + 1e-4 s``; the JSON records that
+   bound with its absolute slack.
 4. **Experiment grids**: ``run_experiment(n_jobs=...)`` error grids must
    be bitwise identical across worker counts.
 5. **Kernel microbench**: compiled vs reference CSR kernels,
@@ -145,9 +146,10 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts, include_process):
                 f"serial run (max_rel_diff={vs_serial:.3e}); sharded "
                 "results must not depend on the backend"
             )
-            assert vs_direct <= 1e-12, (
+            assert vs_direct == 0.0, (
                 f"{backend_name} x{workers} drifted {vs_direct:.3e} from "
-                "the direct path; adjoint fold tolerance is 1e-12"
+                "the direct path; sharded CSR products must carry the "
+                "direct kernels' bits"
             )
             variants.append(
                 {
@@ -161,6 +163,10 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts, include_process):
                 }
             )
 
+    serial_vs_direct = rel_diff(serial_x, direct_x)
+    assert serial_vs_direct == 0.0, (
+        f"sharded serial drifted {serial_vs_direct:.3e} from the direct path"
+    )
     return {
         **case,
         "nnz": matrix.nnz,
@@ -170,7 +176,7 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts, include_process):
         "sharded_serial": {
             "seconds": serial_seconds,
             "overhead_vs_direct": serial_seconds / direct_seconds - 1.0,
-            "max_rel_diff_vs_direct": rel_diff(serial_x, direct_x),
+            "max_rel_diff_vs_direct": serial_vs_direct,
         },
         "variants": variants,
     }
@@ -242,10 +248,17 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     return section
 
 
-def run_serial_passthrough(case, iter_lim, repeats):
-    """Single-shard sharding must be free: the pre-PR path, refactored.
+#: Single-shard passthrough bound: ``direct * (1 + MAX_OVERHEAD) +
+#: OVERHEAD_SLACK_SECONDS``; the slack absorbs timer jitter on
+#: millisecond solves.
+MAX_OVERHEAD = 0.02
+OVERHEAD_SLACK_SECONDS = 1e-4
 
-    Asserted at <2% (plus timer-jitter slack): ``SRDA()`` without
+
+def run_serial_passthrough(case, iter_lim, repeats):
+    """Single-shard sharding must be free: the unsharded path, wrapped.
+
+    Asserted at ``direct * 1.02 + 1e-4 s``: ``SRDA()`` without
     ``n_jobs`` never pays for the parallel layer's existence.
     """
     matrix = make_problem(case["m"], case["n"], case["row_nnz"])
@@ -257,15 +270,19 @@ def run_serial_passthrough(case, iter_lim, repeats):
         passthrough_seconds, _ = solve(op, B, iter_lim, reps)
 
     overhead = passthrough_seconds / direct_seconds - 1.0
-    assert passthrough_seconds <= direct_seconds * 1.02 + 1e-4, (
-        f"single-shard passthrough added {overhead:.1%} over the direct "
-        "path; the serial backend must stay within 2%"
+    bound = direct_seconds * (1.0 + MAX_OVERHEAD) + OVERHEAD_SLACK_SECONDS
+    assert passthrough_seconds <= bound, (
+        f"single-shard passthrough took {passthrough_seconds:.6f}s "
+        f"({overhead:+.1%}) against a bound of {bound:.6f}s "
+        f"(direct x {1.0 + MAX_OVERHEAD} + {OVERHEAD_SLACK_SECONDS}s)"
     )
     return {
         "direct_seconds": direct_seconds,
         "passthrough_seconds": passthrough_seconds,
         "overhead": overhead,
-        "max_overhead": 0.02,
+        "max_overhead": MAX_OVERHEAD,
+        "slack_seconds": OVERHEAD_SLACK_SECONDS,
+        "bound_seconds": bound,
     }
 
 

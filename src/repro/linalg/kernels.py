@@ -394,7 +394,7 @@ def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
     """``A.T @ U`` for a dense block through the selected backend.
 
     Complexity: O(nnz·c) per call, plus the reference's one-time
-    O(nnz log nnz) transpose build, amortized over every later block.
+    O(nnz) transpose build, amortized over every later block.
 
     Routed through the (lazily cached) transpose exactly as the
     reference is, so the forward block kernel — whichever backend — is

@@ -24,7 +24,7 @@ axis-0 reduction over short ``k``-wide rows does not.  What the block
 kernels amortize across columns — and the single-shot
 ``matvec``/``rmatvec`` deliberately avoid paying for one product — is
 the cached segment structure: non-empty row starts for the forward
-sweep and a lazily cached transpose (``O(nnz log nnz)`` sort, built
+sweep and a lazily cached transpose (an ``O(nnz)`` radix sort, built
 once) for ``rmatmat``.
 
 Values are stored in float64 by default; float32 input is preserved
@@ -44,6 +44,29 @@ from repro._typing import FloatArray, FloatDType, IntArray
 _VALUE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
+#: Radix of one ``uint16`` sort digit.
+_DIGIT = 1 << 16
+
+
+def _stable_key_order(keys: IntArray, n_keys: int) -> IntArray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, n_keys)``.
+
+    Complexity: O(nnz) — one or two least-significant-digit radix
+    passes over ``nnz`` keys (numpy's stable sort on 16-bit integers
+    is a radix sort); keys past 2³² fall back to the comparison sort.
+
+    Returns exactly the permutation the stable comparison sort gives,
+    so every reduction ordered by it keeps its bits.
+    """
+    if n_keys <= _DIGIT:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if n_keys > _DIGIT * _DIGIT:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort((keys & (_DIGIT - 1)).astype(np.uint16), kind="stable")
+    high = (keys[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
+
+
 def as_value_dtype(array: Any) -> FloatArray:
     """Coerce to a supported value dtype: float32 stays, others → float64.
 
@@ -54,6 +77,15 @@ def as_value_dtype(array: Any) -> FloatArray:
     if array.dtype not in _VALUE_DTYPES:
         return array.astype(np.float64)
     return array
+
+
+#: Attributes derived from the stored arrays, rebuilt lazily on use.
+_DERIVED_CACHES = (
+    "_row_ids_cache",
+    "_nonempty_rows_cache",
+    "_col_cache",
+    "_transpose_cache",
+)
 
 
 class CSRMatrix:
@@ -127,7 +159,7 @@ class CSRMatrix:
         ``nonempty_cols[i]``'s first entry in the sorted array.
         """
         if self._col_cache is None:
-            order = np.argsort(self.indices, kind="stable")
+            order = _stable_key_order(self.indices, self.shape[1])
             counts = np.bincount(self.indices, minlength=self.shape[1])
             col_indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
             np.cumsum(counts, out=col_indptr[1:])
@@ -239,7 +271,7 @@ class CSRMatrix:
     def T(self) -> "CSRMatrix":
         """Transpose, returned as a CSR matrix.
 
-        Complexity: O(nnz log nnz) on the first call (the column sort);
+        Complexity: O(nnz) on the first call (the radix column sort);
         O(1) afterwards.
 
         Cached after the first call: ``rmatmat`` reuses it on every block
@@ -271,21 +303,14 @@ class CSRMatrix:
         return cache
 
     def __getstate__(self) -> Dict[str, Any]:
-        # A weak reference does not pickle, and a deep copy of one still
-        # points at the original: drop it, and let the copied source
-        # relink its copied transpose in __setstate__.
+        # Copies and pickles carry the stored arrays only.  Every cache
+        # is derived from them and rebuilt on first use, and a cached
+        # transpose alone doubles the payload (a weak back-link would
+        # not pickle at all).
         state = self.__dict__.copy()
-        if isinstance(state["_transpose_cache"], weakref.ref):
-            state["_transpose_cache"] = None
+        for cache in _DERIVED_CACHES:
+            state[cache] = None
         return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        transpose = self._transpose_cache
-        if isinstance(transpose, CSRMatrix) and (
-            transpose._transpose_cache is None
-        ):
-            transpose._transpose_cache = weakref.ref(self)
 
     def row_nnz(self) -> IntArray:
         """Number of non-zeros in each row (the paper's ``s`` statistic)."""
@@ -441,9 +466,8 @@ class CSRMatrix:
     def rmatmat(self, U: FloatArray) -> FloatArray:
         """Compute ``A.T @ U`` for a dense block ``U``.
 
-        Complexity: O(nnz·c) per call — plus a first-call
-        ``O(nnz log nnz)`` transpose build, amortized over every later
-        block product.
+        Complexity: O(nnz·c) per call — plus a first-call ``O(nnz)``
+        transpose build, amortized over every later block product.
 
         Routed through the (lazily cached) transpose so it reuses the
         forward sweep kernel.

@@ -1,11 +1,18 @@
-"""Row-partitioned operators: LSQR-shaped sharding with exact fan-in.
+"""Row-partitioned operators: LSQR-shaped sharding with disjoint writes.
 
 SRDA's whole cost is products against the data operator, and those
-products decompose along rows: for ``X`` split into contiguous row
-blocks ``X_s``,
+products decompose along rows.  For ``X`` split into contiguous row
+blocks ``X_s``, and its one transpose ``T = X.T`` split into
+contiguous row blocks ``T_t``:
 
-- forward:  ``X v   = concat_s (X_s v)``        (disjoint writes)
-- adjoint:  ``X.T u = sum_s   (X_s.T u_s)``     (a reduction)
+- forward:       ``X v   = concat_s (X_s v)``       (disjoint writes)
+- CSR adjoint:   ``X.T u = concat_t (T_t u)``       (disjoint writes)
+- dense adjoint: ``X.T u = sum_s   (X_s.T u_s)``    (a reduction)
+
+A CSR adjoint is therefore the *forward* kernel on a second, nnz-
+balanced partition — the rows of the transpose, built once per
+operator — and needs no reduction: each shard writes its own block of
+output rows.  Dense and operator-sequence shards keep the fold.
 
 :class:`ShardedOperator` realizes that decomposition behind the
 standard :class:`~repro.linalg.operators.LinearOperator` contract, so
@@ -15,33 +22,32 @@ unchanged, and fans the per-shard kernels out on any
 
 Determinism contract
 --------------------
-Results depend on the *shard layout* (a pure function of the data: row
-count, plus — for CSR — the nnz profile via
-:func:`nnz_shard_bounds`) and never on the backend or worker count:
+Results never depend on the backend or worker count, and CSR results
+do not depend on the shard layout either:
 
-- CSR ``matvec``/``matmat`` are **bitwise identical** to the unsharded
-  kernels — the handwritten CSR kernels reduce each row in storage
-  order, and row segments never straddle a shard boundary.
-- CSR ``rmatvec`` is also **bitwise identical**: shards compute only
-  the *elementwise* stage (``data * u[row_ids]`` over their contiguous
-  slice of storage order) into one products buffer, and the coordinator
-  applies the single canonical reduction
-  (:meth:`~repro.linalg.sparse.CSRMatrix.reduce_adjoint_products`).
-- Dense kernels, and every ``rmatmat``, are deterministic and
-  reproducible for a given layout (identical across backends and worker
-  counts) but only within a few ulp of the unsharded product: adjoint
-  fan-in folds per-shard partials in fixed shard order, and dense
+- Every CSR product — ``matvec``, ``rmatvec``, ``matmat`` and
+  ``rmatmat`` — is **bitwise identical** to the unsharded kernels
+  (:mod:`repro.linalg.kernels`).  Each output row is computed by exactly
+  one shard, by the row kernel the direct path runs (the direct adjoint
+  is the same kernel on the same transpose), and row segments never
+  straddle a shard boundary.
+- Dense products, and dense and operator-sequence adjoints, depend on
+  the *shard layout* (a pure function of the row count): they are
+  reproducible for a given layout (identical across backends and
+  worker counts) but only within a few ulp of the unsharded product.
+  Adjoints fold per-shard partials in fixed shard order, and dense
   forward products go through BLAS, whose internal reduction order can
   depend on the block's row count.
 
 Process transport
 -----------------
 On a backend without closure support (the process backend), shard
-payloads are broadcast into shared memory **once** at construction;
-each product ships only small picklable task dicts, with the operand
-and result travelling through two reusable shared-memory mailboxes.
-Workers rebuild shard objects lazily and cache them (including their
-transpose caches) for the life of the pool.
+payloads — for CSR, the row blocks of both ``X`` and its transpose —
+are broadcast into shared memory **once** at construction; each
+product ships only small picklable task dicts, with the operand and
+result travelling through two reusable shared-memory mailboxes.
+Workers rebuild shard objects lazily and cache them for the life of
+the pool.
 
 Per-shard wall times are recorded into the current tracer's metrics
 (histogram ``parallel.shard_seconds``, counter
@@ -188,8 +194,12 @@ def csr_row_slice(matrix: CSRMatrix, start: int, stop: int) -> CSRMatrix:
     )
 
 
+#: Kernels whose shards read the whole operand and write disjoint rows.
+_FORWARD = ("matvec", "matmat")
+
+
 def _ordered_fold(partials: FloatArray) -> FloatArray:
-    """Sum ``partials`` over axis 0 as a left fold in shard order.
+    """Sum dense/operator-sequence adjoint partials in shard order.
 
     A plain left fold — not ``np.sum``, whose pairwise reduction would
     tie the association (and thus the low bits) to internal blocking
@@ -216,26 +226,28 @@ def shard_kernel_result(
     backends write the returned block into a coordinator-owned buffer
     (:func:`_apply_shard_kernel`), and distributed workers ship it back
     over a socket.  Forward kernels expect the full operand; adjoint
-    kernels expect the caller's pre-sliced ``operand[r0:r1]`` block.
-    Both transports evaluating these exact expressions is what makes
-    the distributed backend bitwise-identical to the local ones.
+    kernels — dense and operator-sequence shards only — expect the
+    caller's pre-sliced ``operand[r0:r1]`` block.  A CSR shard runs
+    forward kernels only: a CSR adjoint is the forward kernel on a row
+    block of the transpose.  Both transports evaluating these exact
+    expressions is what makes the distributed backend bitwise-identical
+    to the local ones.
     """
     if mode == "dense":
-        if kernel in ("matvec", "matmat"):
+        if kernel in _FORWARD:
             return shard @ operand
         return shard.T @ operand
     if mode == "csr":
         # CSR shards go through the kernel dispatcher, so thread
-        # workers run the GIL-free compiled backend when selected.  The
-        # adjoint emits only the elementwise stage so the coordinator
-        # can apply the one canonical reduction.
+        # workers run the GIL-free compiled backend when selected.
         if kernel == "matvec":
             return kernels.csr_matvec(shard, operand)
-        if kernel == "rmatvec":
-            return kernels.csr_adjoint_products(shard, operand)
         if kernel == "matmat":
             return kernels.csr_matmat(shard, operand)
-        return kernels.csr_rmatmat(shard, operand)
+        raise ValueError(
+            f"CSR shards run forward kernels only, got {kernel!r}; the "
+            "adjoint runs them on row blocks of the transpose"
+        )
     if kernel == "matvec":
         return shard.matvec(operand)
     if kernel == "rmatvec":
@@ -252,7 +264,6 @@ def _apply_shard_kernel(
     operand: FloatArray,
     out: FloatArray,
     rows: Tuple[int, int],
-    nnz_range: Tuple[int, int],
     slot: int,
 ) -> None:
     """Run one shard's share of a product, writing into ``out``.
@@ -260,16 +271,12 @@ def _apply_shard_kernel(
     The write-into-buffer form of :func:`shard_kernel_result` used by
     in-process backends (including process workers writing into
     shared-memory views).  Forward kernels write their disjoint row
-    block; adjoint kernels write either their slice of the CSR products
-    buffer (``rmatvec``) or their partial into slot ``slot`` for the
-    coordinator's ordered fold.
+    block ``out[r0:r1]``; fold adjoints write their partial into slot
+    ``slot`` for the coordinator's ordered fold.
     """
     r0, r1 = rows
-    if kernel in ("matvec", "matmat"):
+    if kernel in _FORWARD:
         out[r0:r1] = shard_kernel_result(mode, shard, kernel, operand)
-    elif mode == "csr" and kernel == "rmatvec":
-        p0, p1 = nnz_range
-        out[p0:p1] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
     else:
         out[slot] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
 
@@ -279,7 +286,7 @@ def _apply_shard_kernel(
 # ----------------------------------------------------------------------
 
 #: Shards this worker has rebuilt from shared memory, keyed by bundle
-#: key; cached so transpose/segment caches survive across products.
+#: key; cached so their segment caches survive across products.
 _SHARD_CACHE: Dict[str, Any] = {}
 
 
@@ -328,18 +335,47 @@ def _process_shard_task(task: Dict[str, Any]) -> float:
         attach_array(task["operand"]),
         attach_array(task["out"]),
         task["rows"],
-        task["nnz"],
         task["slot"],
     )
     return time.perf_counter() - t0
+
+
+class _Partition:
+    """Contiguous row blocks that one product fans out over.
+
+    ``bounds[i]`` is block ``i``'s ``[start, stop)`` row range and
+    ``shards[i]`` its local shard; ``bundles`` (shared-memory handles)
+    and ``keys`` (remote shard keys) are filled in when the blocks are
+    broadcast or shipped.
+    """
+
+    def __init__(
+        self, bounds: List[Tuple[int, int]], shards: List[Any]
+    ) -> None:
+        self.bounds = bounds
+        self.shards = shards
+        self.bundles: List[Dict[str, Any]] = []
+        self.keys: List[str] = []
+
+
+def _row_blocks(
+    source: Union[CSRMatrix, FloatArray], bounds: List[Tuple[int, int]]
+) -> _Partition:
+    """Zero-copy row blocks of a CSR matrix or dense array."""
+    if isinstance(source, CSRMatrix):
+        return _Partition(
+            bounds, [csr_row_slice(source, r0, r1) for r0, r1 in bounds]
+        )
+    return _Partition(bounds, [source[r0:r1] for r0, r1 in bounds])
 
 
 class ShardedOperator(LinearOperator):
     """Row-partitioned view of a CSR/dense matrix (or operator stack).
 
     Complexity: O(nnz) per ``matvec``/``rmatvec`` summed across shards
-    (``O(nnz·c)`` for ``c``-column blocks), plus O(m + k) coordinator
-    work per product for the gather and ordered fold.
+    (``O(nnz·c)`` for ``c``-column blocks), plus O(m + n) coordinator
+    work per product for the gather (and, for dense shards, the
+    ordered fold); a CSR operator builds the transpose once, in O(nnz).
 
     Parameters
     ----------
@@ -368,7 +404,9 @@ class ShardedOperator(LinearOperator):
         instance.
 
     With one shard every product delegates straight to the unsharded
-    kernel — the degenerate layout is a true passthrough.
+    kernel — the degenerate layout is a true passthrough.  With more, a
+    CSR operator builds the matrix's transpose once, holds it for its
+    own lifetime, and partitions its rows for the adjoint products.
     """
 
     def __init__(
@@ -384,7 +422,6 @@ class ShardedOperator(LinearOperator):
         self._owns_backend = not isinstance(backend, Backend)
         self.backend = resolve_backend(backend, n_jobs)
         self._closed = False
-        self._scratch: Dict[Tuple[str, Tuple[int, ...], str, str], FloatArray] = {}
 
         self.matrix: Optional[CSRMatrix] = None
         self.array: Optional[FloatArray] = None
@@ -413,19 +450,34 @@ class ShardedOperator(LinearOperator):
             m = base.shape[0]
             self.shape = (m, base.shape[1])
             count = default_shard_count(m) if n_shards is None else int(n_shards)
-            if self._mode == "csr":
+            if self.matrix is not None:
                 # Balance shards by stored entries, not rows — kernel
                 # cost is O(nnz), and the cut is still a pure function
                 # of the data, so the determinism contract holds.
-                assert self.matrix is not None
-                self._bounds = nnz_shard_bounds(self.matrix.indptr, count)
+                self._forward = _row_blocks(
+                    self.matrix, nnz_shard_bounds(self.matrix.indptr, count)
+                )
             else:
-                self._bounds = shard_bounds(m, count)
-            self._build_local_shards()
+                assert self.array is not None
+                self._forward = _row_blocks(self.array, shard_bounds(m, count))
 
-        self.n_shards = len(self._bounds)
+        self.n_shards = len(self._forward.bounds)
         self._single = self.n_shards == 1
-        self._nnz_bounds = self._compute_nnz_bounds()
+        #: CSR adjoints run the forward kernel on nnz-balanced row blocks
+        #: of the transpose: each output row of ``X.T U`` is computed
+        #: once, by one shard, exactly as the direct adjoint computes it
+        #: on the transpose — no reduction.  The transpose is built on a
+        #: cache-free view of the matrix, so it lives as long as this
+        #: operator and nothing is left cached on the caller's matrix.
+        self._adjoint: Optional[_Partition] = None
+        if self.matrix is not None and not self._single:
+            transpose = csr_row_slice(self.matrix, 0, self.shape[0]).T
+            self._adjoint = _row_blocks(
+                transpose, nnz_shard_bounds(transpose.indptr, self.n_shards)
+            )
+        self._partitions = [
+            p for p in (self._forward, self._adjoint) if p is not None
+        ]
         self._direct: Optional[LinearOperator] = None
         if self._single:
             if self._mode == "ops":
@@ -445,8 +497,6 @@ class ShardedOperator(LinearOperator):
         self._uses_shm = (
             not self.backend.supports_closures and not self._uses_remote
         )
-        self._bundles: List[Dict[str, Any]] = []
-        self._remote_keys: List[str] = []
         if not self._single:
             if self._uses_shm:
                 self._broadcast_shards()
@@ -490,30 +540,17 @@ class ShardedOperator(LinearOperator):
         for op in ops:
             bounds.append((row, row + op.shape[0]))
             row += op.shape[0]
-        self._bounds = bounds
+        self._forward = _Partition(bounds, list(ops))
         self.shape = (row, n_cols)
-        self._local_shards: List[Any] = list(ops)
 
-    def _build_local_shards(self) -> None:
+    def _shard_arrays(self, shard: Any) -> Dict[str, FloatArray]:
         if self._mode == "csr":
-            assert self.matrix is not None
-            self._local_shards = [
-                csr_row_slice(self.matrix, r0, r1) for r0, r1 in self._bounds
-            ]
-        else:
-            assert self.array is not None
-            self._local_shards = [
-                self.array[r0:r1] for r0, r1 in self._bounds
-            ]
-
-    def _compute_nnz_bounds(self) -> List[Tuple[int, int]]:
-        if self._mode != "csr":
-            return [(0, 0)] * self.n_shards
-        assert self.matrix is not None
-        indptr: IntArray = self.matrix.indptr
-        return [
-            (int(indptr[r0]), int(indptr[r1])) for r0, r1 in self._bounds
-        ]
+            return {
+                "data": shard.data,
+                "indices": shard.indices,
+                "indptr": shard.indptr,
+            }
+        return {"block": np.ascontiguousarray(shard)}
 
     def _broadcast_shards(self) -> None:
         """One-time shared-memory broadcast of every shard's payload."""
@@ -523,58 +560,41 @@ class ShardedOperator(LinearOperator):
                 f"backend {self.backend.name!r} does not support closures "
                 "and has no shared-memory arena"
             )
-        for i, shard in enumerate(self._local_shards):
-            if self._mode == "csr":
-                refs = arena.share(
+        for partition in self._partitions:
+            for shard in partition.shards:
+                refs = arena.share(self._shard_arrays(shard))
+                # The first block's shm name is globally unique — it
+                # doubles as the worker-side cache key for the shard.
+                key = next(iter(refs.values())).name
+                partition.bundles.append(
                     {
-                        "data": shard.data,
-                        "indices": shard.indices,
-                        "indptr": shard.indptr,
+                        "kind": self._mode,
+                        "refs": refs,
+                        "shape": shard.shape,
+                        "key": key,
                     }
                 )
-                shape: Tuple[int, ...] = shard.shape
-            else:
-                refs = arena.share({"block": shard})
-                shape = shard.shape
-            # The data block's shm name is globally unique — it doubles
-            # as the worker-side cache key for the rebuilt shard.
-            key = refs["data" if self._mode == "csr" else "block"].name
-            self._bundles.append(
-                {"kind": self._mode, "refs": refs, "shape": shape, "key": key}
-            )
-        self._role_in = f"{self._bundles[0]['key']}:in"
-        self._role_out = f"{self._bundles[0]['key']}:out"
+        self._role_in = f"{self._forward.bundles[0]['key']}:in"
+        self._role_out = f"{self._forward.bundles[0]['key']}:out"
 
     def _ship_remote_shards(self) -> None:
         """One-time checksummed shipment of every shard to the cluster.
 
         Mirrors :meth:`_broadcast_shards` for remote backends: shard
         payloads cross the wire exactly once; per-product traffic is
-        limited to operand and result vectors.
+        limited to operand and result blocks.
         """
-        payloads: List[Dict[str, Any]] = []
-        for shard in self._local_shards:
-            if self._mode == "csr":
-                payloads.append(
+        for partition in self._partitions:
+            partition.keys = self.backend.ship_shards(
+                [
                     {
-                        "kind": "csr",
+                        "kind": self._mode,
                         "shape": shard.shape,
-                        "arrays": {
-                            "data": shard.data,
-                            "indices": shard.indices,
-                            "indptr": shard.indptr,
-                        },
+                        "arrays": self._shard_arrays(shard),
                     }
-                )
-            else:
-                payloads.append(
-                    {
-                        "kind": "dense",
-                        "shape": shard.shape,
-                        "arrays": {"block": np.ascontiguousarray(shard)},
-                    }
-                )
-        self._remote_keys = self.backend.ship_shards(payloads)
+                    for shard in partition.shards
+                ]
+            )
 
     def _degrade(self, exc: BaseException) -> None:
         """Fall back to the serial backend after cluster failure.
@@ -618,7 +638,7 @@ class ShardedOperator(LinearOperator):
     @property
     def shard_layout(self) -> List[Tuple[int, int]]:
         """The contiguous ``[start, stop)`` row range of each shard."""
-        return list(self._bounds)
+        return list(self._forward.bounds)
 
     def _record(self, timings: List[float]) -> None:
         tracer = current_tracer()
@@ -633,17 +653,18 @@ class ShardedOperator(LinearOperator):
 
     def _run(
         self,
+        partition: _Partition,
         kernel: str,
         operand: FloatArray,
         out_shape: Tuple[int, ...],
         out_dtype: FloatDType,
         order: Literal["C", "F"] = "C",
     ) -> FloatArray:
-        """Fan a kernel out over every shard; return the fan-in buffer."""
+        """Fan a kernel out over a partition; return the fan-in buffer."""
         if self._uses_remote:
             try:
                 return self._run_remote(
-                    kernel, operand, out_shape, out_dtype, order
+                    partition, kernel, operand, out_shape, out_dtype, order
                 )
             except TransportError as exc:
                 if (
@@ -666,43 +687,46 @@ class ShardedOperator(LinearOperator):
             )
             tasks = [
                 {
-                    "bundle": self._bundles[i],
+                    "bundle": bundle,
                     "kernel": kernel,
                     "operand": in_ref,
                     "out": out_ref,
-                    "rows": self._bounds[i],
-                    "nnz": self._nnz_bounds[i],
+                    "rows": rows,
                     "slot": i,
                 }
-                for i in range(self.n_shards)
+                for i, (bundle, rows) in enumerate(
+                    zip(partition.bundles, partition.bounds)
+                )
             ]
             timings = self.backend.map(_process_shard_task, tasks)
             # Copy out before the mailbox is reused by the next product.
             result = np.array(out_view, order=order)
         else:
-            out = self._fan_in_buffer(kernel, out_shape, out_dtype, order)
+            out = np.empty(out_shape, dtype=out_dtype, order=order)
 
             def run_shard(index: int) -> float:
                 t0 = time.perf_counter()
                 _apply_shard_kernel(
                     self._mode,
-                    self._local_shards[index],
+                    partition.shards[index],
                     kernel,
                     operand,
                     out,
-                    self._bounds[index],
-                    self._nnz_bounds[index],
+                    partition.bounds[index],
                     index,
                 )
                 return time.perf_counter() - t0
 
-            timings = self.backend.map(run_shard, list(range(self.n_shards)))
+            timings = self.backend.map(
+                run_shard, list(range(len(partition.shards)))
+            )
             result = out
         self._record(timings)
         return result
 
     def _run_remote(
         self,
+        partition: _Partition,
         kernel: str,
         operand: FloatArray,
         out_shape: Tuple[int, ...],
@@ -712,105 +736,89 @@ class ShardedOperator(LinearOperator):
         """Stream one product through the remote cluster.
 
         Forward kernels ship the full operand (every shard multiplies
-        against all columns); adjoint kernels ship only each shard's
+        against all columns); fold adjoints ship only each shard's
         ``operand[r0:r1]`` block.  Assembly mirrors
         :func:`_apply_shard_kernel`'s writes exactly, so the returned
         buffer is bitwise what the local paths produce.
         """
-        forward = kernel in ("matvec", "matmat")
-        tasks = []
-        for i in range(self.n_shards):
-            r0, r1 = self._bounds[i]
-            tasks.append(
-                {
-                    "key": self._remote_keys[i],
-                    "kernel": kernel,
-                    "operand": operand if forward else operand[r0:r1],
-                }
-            )
+        forward = kernel in _FORWARD
+        tasks = [
+            {
+                "key": key,
+                "kernel": kernel,
+                "operand": operand if forward else operand[r0:r1],
+            }
+            for key, (r0, r1) in zip(partition.keys, partition.bounds)
+        ]
         arrays = self.backend.run_tasks(tasks)
         out = np.empty(out_shape, dtype=out_dtype, order=order)
-        for i, array in enumerate(arrays):
+        for slot, (rows, array) in enumerate(zip(partition.bounds, arrays)):
+            r0, r1 = rows
             if forward:
-                r0, r1 = self._bounds[i]
                 out[r0:r1] = array
-            elif self._mode == "csr" and kernel == "rmatvec":
-                p0, p1 = self._nnz_bounds[i]
-                out[p0:p1] = array
             else:
-                out[i] = array
+                out[slot] = array
         tracer = current_tracer()
         if tracer.enabled:
             tracer.metrics.counter("parallel.shard_products").add(
-                float(self.n_shards)
+                float(len(tasks))
             )
         return out
-
-    def _fan_in_buffer(
-        self,
-        kernel: str,
-        out_shape: Tuple[int, ...],
-        out_dtype: FloatDType,
-        order: Literal["C", "F"],
-    ) -> FloatArray:
-        """Fan-in buffer for ``_run``; adjoint buffers are reused.
-
-        Forward products (``matvec``/``matmat``) are returned to callers
-        and must stay fresh.  Adjoint intermediates — the CSR products
-        buffer and the per-shard partials — are fully consumed by the
-        canonical reduction / ordered fold (both of which allocate their
-        own output) before the next product starts, so the hot LSQR
-        adjoint path can recycle them instead of re-allocating an
-        ``nnz``-sized (or ``n_shards×n×k``) buffer every iteration.
-        Concurrent products on one operator were never supported.
-        """
-        if kernel in ("matvec", "matmat"):
-            return np.empty(out_shape, dtype=out_dtype, order=order)
-        key = (kernel, out_shape, np.dtype(out_dtype).str, order)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(out_shape, dtype=out_dtype, order=order)
-            self._scratch[key] = buf
-        return buf
 
     def _matvec(self, v: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matvec(v)
         out_dtype = np.result_type(self.dtype, v.dtype)
-        return self._run("matvec", v, (self.shape[0],), out_dtype)
+        return self._run(
+            self._forward, "matvec", v, (self.shape[0],), out_dtype
+        )
 
     def _rmatvec(self, u: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.rmatvec(u)
         out_dtype = np.result_type(self.dtype, u.dtype)
-        if self._mode == "csr":
-            assert self.matrix is not None
-            products = self._run(
-                "rmatvec", u, (self.matrix.nnz,), out_dtype
+        if self._adjoint is not None:
+            return self._run(
+                self._adjoint, "matvec", u, (self.shape[1],), out_dtype
             )
-            return kernels.csr_reduce_adjoint(self.matrix, products)
         partials = self._run(
-            "rmatvec", u, (self.n_shards, self.shape[1]), out_dtype
+            self._forward,
+            "rmatvec",
+            u,
+            (self.n_shards, self.shape[1]),
+            out_dtype,
         )
         return _ordered_fold(partials)
+
+    def _forward_block(
+        self, partition: _Partition, B: FloatArray, n_rows: int
+    ) -> FloatArray:
+        out_dtype = np.result_type(self.dtype, B.dtype)
+        return self._run(
+            partition, "matmat", B, (n_rows, B.shape[1]), out_dtype, order="F"
+        )
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matmat(B)
-        out_dtype = np.result_type(self.dtype, B.dtype)
         if self._mode == "csr":
             # Every shard reads the whole operand; the row-streamed
             # kernel wants it C-ordered, so convert once, not per shard.
             B = np.ascontiguousarray(B)
-        return self._run(
-            "matmat", B, (self.shape[0], B.shape[1]), out_dtype, order="F"
-        )
+        return self._forward_block(self._forward, B, self.shape[0])
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.rmatmat(U)
+        if self._adjoint is not None:
+            # The forward block kernel on the transpose's row blocks,
+            # fed one C-ordered operand exactly as _matmat feeds it.
+            return self._forward_block(
+                self._adjoint, np.ascontiguousarray(U), self.shape[1]
+            )
         out_dtype = np.result_type(self.dtype, U.dtype)
         partials = self._run(
+            self._forward,
             "rmatmat",
             U,
             (self.n_shards, self.shape[1], U.shape[1]),

@@ -54,6 +54,29 @@ class SharedArrayRef(NamedTuple):
         return count * np.dtype(self.dtype).itemsize
 
 
+class _Block(shared_memory.SharedMemory):
+    """A shared-memory block whose ``close()`` tolerates live views.
+
+    ``SharedMemory.close()`` raises ``BufferError`` while an ndarray
+    still views the mapping, and ``__del__`` retries it at collection,
+    where the error can only surface as an unraisable exception.  A
+    close that meets live views here hands the mapping over to them
+    instead: the block drops its own handles, so no later close (the
+    one in ``__del__`` included) touches the mapping again, and the
+    pages are unmapped when the last view dies.
+    """
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except BufferError:
+            # The views pin the memoryview, which pins the mmap; forget
+            # both and close only the descriptor.
+            self._buf = None  # type: ignore[attr-defined]
+            self._mmap = None  # type: ignore[attr-defined]
+            super().close()
+
+
 def _block_view(
     shm: shared_memory.SharedMemory, dtype: str, shape: Tuple[int, ...]
 ) -> np.ndarray:
@@ -66,16 +89,16 @@ def _block_view(
 
 
 def _dispose(shm: shared_memory.SharedMemory) -> None:
-    """Unmap (best-effort) and unlink one owned block.
+    """Unmap and unlink one owned block.
 
-    ``close()`` raises ``BufferError`` while any live ndarray still
-    views the buffer; the unlink must happen regardless (POSIX removes
+    A block still viewed by a live ndarray stays mapped until that view
+    dies (:class:`_Block`); the unlink happens regardless (POSIX removes
     the name immediately and frees the pages when the last mapping
     dies), so the two steps are guarded independently.
     """
     try:
         shm.close()
-    except (BufferError, OSError):
+    except OSError:
         pass
     try:
         shm.unlink()
@@ -129,9 +152,7 @@ class SharedArena:
         refs: Dict[str, SharedArrayRef] = {}
         for key, array in arrays.items():
             array = np.ascontiguousarray(array)
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, array.nbytes)
-            )
+            shm = _Block(create=True, size=max(1, array.nbytes))
             self._broadcast.append(shm)
             ref = SharedArrayRef(shm.name, array.dtype.str, array.shape)
             if array.nbytes:
@@ -156,7 +177,7 @@ class SharedArena:
         if shm is None or shm.size < need:
             if shm is not None:
                 _dispose(shm)
-            shm = shared_memory.SharedMemory(create=True, size=max(1, need))
+            shm = _Block(create=True, size=max(1, need))
             self._scratch[role] = shm
         ref = SharedArrayRef(shm.name, ref_dtype, tuple(int(s) for s in shape))
         return _block_view(shm, ref.dtype, ref.shape), ref
@@ -181,7 +202,7 @@ def _close_attachments() -> None:
     for shm in _ATTACHED.values():
         try:
             shm.close()
-        except (OSError, BufferError):
+        except OSError:
             pass
     _ATTACHED.clear()
 
@@ -197,7 +218,7 @@ def _attach_block(name: str) -> shared_memory.SharedMemory:
     # with trackers of their own, which this transport never creates).
     shm = _ATTACHED.get(name)
     if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
+        shm = _Block(name=name)
         _ATTACHED[name] = shm
     return shm
 

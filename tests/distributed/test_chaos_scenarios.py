@@ -1,6 +1,6 @@
 """Chaos scenarios: every injected fault must recover or degrade,
 and every recovered fit must be **bitwise identical** to the serial
-backend (same shard layout, so the reduction order is the contract).
+backend — and, through it, to the unsharded fit.
 """
 
 import warnings
@@ -57,6 +57,14 @@ def _assert_bitwise(model, reference):
 
 
 class TestCleanDistributedFit:
+    def test_serial_reference_is_the_direct_fit(self, problem, reference):
+        # Sharded CSR products carry the direct kernels' bits, so every
+        # scenario below that matches the serial reference also matches
+        # the unsharded fit.
+        X, y = problem
+        direct = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+        _assert_bitwise(direct.fit(X, y), reference)
+
     def test_bitwise_and_reported(self, problem, reference):
         backend = DistributedBackend(n_workers=2, heartbeat_interval=0.5)
         model, _ = _fit_with(backend, problem)

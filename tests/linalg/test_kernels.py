@@ -466,3 +466,39 @@ class TestConfigIntegration:
         path = save_model(model, tmp_path / "model")
         loaded = load_model(path)
         assert loaded.config.kernel_backend == "reference"
+
+    @needs_compiled
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transform_runs_the_dispatched_kernel(
+        self, monkeypatch, sparse_classification, dtype
+    ):
+        """A CSR embedding goes through the dispatcher: the compiled
+        block kernel runs, and its bytes equal the reference's."""
+        from repro.core.srda import SRDA
+
+        matrix, _, y = sparse_classification
+        X = CSRMatrix(
+            matrix.data.astype(dtype), matrix.indices, matrix.indptr,
+            matrix.shape,
+        )
+        model = SRDA(alpha=0.1).fit(X, y)
+        calls = []
+        compiled = kernels._compiled
+
+        class Spy:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(compiled, name)
+
+        monkeypatch.setattr(kernels, "_compiled", Spy())
+        embeddings = {}
+        for name in ("reference", "compiled"):
+            calls.clear()
+            with use_backend(name):
+                embeddings[name] = model.transform(X)
+            assert ("csr_matmat" in calls) == (name == "compiled")
+        assert embeddings["compiled"].dtype == dtype
+        assert (
+            embeddings["compiled"].tobytes()
+            == embeddings["reference"].tobytes()
+        )

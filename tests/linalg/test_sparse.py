@@ -152,6 +152,21 @@ class TestTransposeAndSlicing:
             CSRMatrix.from_dense(dense).T.to_dense(), dense.T
         )
 
+    @pytest.mark.parametrize("n_cols", [1, 300, 1 << 16, (1 << 16) + 1, 1 << 21])
+    def test_column_order_is_the_stable_argsort(self, rng, n_cols):
+        """One radix pass up to 65536 columns, two beyond: either way
+        exactly the permutation of the stable comparison sort."""
+        nnz = 5000
+        indices = rng.integers(0, n_cols, nnz)
+        indices[:50] = n_cols - 1  # the top key, repeated
+        indptr = np.array([0, nnz // 2, nnz], dtype=np.int64)
+        matrix = CSRMatrix(rng.standard_normal(nnz), indices, indptr, (2, n_cols))
+        order, _, _ = matrix._col_segments
+        assert np.array_equal(order, np.argsort(indices, kind="stable"))
+        transpose = matrix.T
+        assert np.array_equal(transpose.indices, matrix._row_ids[order])
+        assert np.array_equal(transpose.data, matrix.data[order])
+
     def test_double_transpose_identity(self, rng):
         dense = dense_fixture(rng)
         assert np.array_equal(
@@ -196,6 +211,27 @@ class TestTransposeAndSlicing:
         assert copied.T.T is copied
         assert matrix.T.T is matrix
         assert np.array_equal(copied.T.to_dense(), matrix.T.to_dense())
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_carry_no_derived_caches(self, rng, clone):
+        matrix = CSRMatrix.from_dense(dense_fixture(rng))
+        matrix.T._col_segments  # the transpose's caches too
+        matrix._nonempty_rows
+        caches = (
+            "_row_ids_cache",
+            "_nonempty_rows_cache",
+            "_col_cache",
+            "_transpose_cache",
+        )
+        assert all(getattr(matrix, name) is not None for name in caches)
+        for source in (matrix, matrix.T):
+            copied = clone(source)
+            assert all(getattr(copied, name) is None for name in caches)
+            assert np.array_equal(copied.to_dense(), source.to_dense())
 
     def test_take_rows(self, rng):
         dense = dense_fixture(rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.datasets import Dataset
 from repro.eval.experiment import run_experiment
@@ -37,13 +38,11 @@ class TestSRDAParallelFit:
         threaded = SRDA(alpha=0.5, n_jobs=2).fit(X, y)
         np.testing.assert_array_equal(serial.components_, threaded.components_)
 
-    def test_sharded_close_to_direct(self, sparse_blobs):
+    def test_sharded_bitwise_equals_direct(self, sparse_blobs):
         X, y = sparse_blobs
         direct = SRDA(alpha=0.5).fit(X, y)
         sharded = SRDA(alpha=0.5, n_jobs=2).fit(X, y)
-        np.testing.assert_allclose(
-            sharded.components_, direct.components_, rtol=1e-8, atol=1e-10
-        )
+        np.testing.assert_array_equal(sharded.components_, direct.components_)
 
     def test_dense_centered_backends_agree(self, blobs):
         X, y = blobs
@@ -75,6 +74,45 @@ class TestSRDAParallelFit:
         assert model.backend == "thread"
 
 
+class TestShardedFitBitwise:
+    """A multi-shard CSR fit carries the direct fit's bits, whichever
+    transport runs the shards and in either dtype."""
+
+    @pytest.fixture(scope="class")
+    def text_like(self):
+        rng = np.random.default_rng(5)
+        m, n = 2600, 300
+        dense = rng.standard_normal((m, n))
+        dense[rng.random((m, n)) > 0.05] = 0.0
+        y = rng.integers(0, 4, m)
+        dense[np.arange(m), y] += 3.0
+        return dense, y
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "thread",
+            pytest.param("process", marks=pytest.mark.slow),
+            pytest.param(
+                "distributed",
+                marks=[pytest.mark.slow, pytest.mark.distributed],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_components_equal_direct(self, text_like, backend, dtype):
+        dense, y = text_like
+        X = CSRMatrix.from_dense(dense.astype(dtype))
+
+        def fit(config):
+            return SRDA(alpha=1.0, config=config, max_iter=12, tol=0.0).fit(X, y)
+
+        direct = fit(SolverConfig(solver="lsqr"))
+        sharded = fit(SolverConfig(solver="lsqr", n_jobs=2, backend=backend))
+        assert sharded.components_.tobytes() == direct.components_.tobytes()
+        assert sharded.intercept_.tobytes() == direct.intercept_.tobytes()
+
+
 class TestAlphaPathParallel:
     def test_backends_agree_bitwise(self, sparse_blobs):
         X, y = sparse_blobs
@@ -84,15 +122,13 @@ class TestAlphaPathParallel:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.components_, b.components_)
 
-    def test_close_to_direct_path(self, sparse_blobs):
+    def test_bitwise_equals_direct_path(self, sparse_blobs):
         X, y = sparse_blobs
         alphas = [0.1, 1.0]
         direct = srda_alpha_path(X, y, alphas)
         sharded = srda_alpha_path(X, y, alphas, n_jobs=2)
         for a, b in zip(direct, sharded):
-            np.testing.assert_allclose(
-                b.components_, a.components_, rtol=1e-8, atol=1e-10
-            )
+            np.testing.assert_array_equal(b.components_, a.components_)
 
 
 class TestExperimentParallel:

@@ -79,11 +79,7 @@ class TestCSRParity:
             assert np.array_equal(op.matvec(v), direct.matvec(v))
             assert np.array_equal(op.rmatvec(u), direct.rmatvec(u))
             assert np.array_equal(op.matmat(B), direct.matmat(B))
-            # rmatmat folds per-shard partials: deterministic, but a
-            # different association than the unsharded product.
-            np.testing.assert_allclose(
-                op.rmatmat(U), direct.rmatmat(U), rtol=1e-12, atol=1e-14
-            )
+            assert np.array_equal(op.rmatmat(U), direct.rmatmat(U))
 
     def test_thread_backend_bitwise_equals_serial(self, rng):
         matrix, _ = random_csr(rng)
@@ -358,9 +354,8 @@ class TestNnzLayoutParity:
             ]
 
     def test_products_bitwise_match_unsharded_kernels(self, rng):
-        # matvec/rmatvec/matmat are bitwise identical to the direct CSR
-        # kernels for ANY layout (disjoint row blocks + one canonical
-        # adjoint reduction), so rebalancing the boundaries cannot
+        # Every CSR product writes disjoint row blocks (the adjoint's are
+        # rows of the transpose), so rebalancing the boundaries cannot
         # change a single bit of these products.
         matrix = skewed_csr(rng)
         v = rng.standard_normal(matrix.shape[1])
@@ -374,19 +369,15 @@ class TestNnzLayoutParity:
                 assert np.array_equal(op.rmatvec(u), matrix.rmatvec(u))
                 assert np.array_equal(op.matmat(B), matrix.matmat(B))
 
-    def test_rmatmat_close_to_direct_for_any_layout(self, rng):
+    def test_rmatmat_bitwise_for_any_layout(self, rng):
         matrix = skewed_csr(rng)
         U = rng.standard_normal((matrix.shape[0], 4))
-        direct = np.column_stack(
-            [matrix.rmatvec(U[:, j]) for j in range(U.shape[1])]
-        )
+        direct = matrix.rmatmat(U)
         for n_shards in (2, 8):
             with ShardedOperator(
                 matrix, n_shards=n_shards, backend="serial"
             ) as op:
-                np.testing.assert_allclose(
-                    op.rmatmat(U), direct, rtol=0, atol=1e-12
-                )
+                assert np.array_equal(op.rmatmat(U), direct)
 
     def test_layout_is_backend_independent(self, rng):
         matrix = skewed_csr(rng, m=600)
@@ -399,28 +390,27 @@ class TestNnzLayoutParity:
 
 
 class TestFanInBuffers:
-    def test_adjoint_buffers_are_reused_forward_stay_fresh(self, rng):
+    @pytest.mark.parametrize("mode", ["csr", "dense"])
+    def test_forward_results_stay_fresh(self, rng, mode):
+        """Every product's fan-in buffer is returned to the caller, so
+        consecutive calls must hand out distinct, unaliased arrays."""
         matrix = skewed_csr(rng, m=600)
-        v = rng.standard_normal(matrix.shape[1])
-        u = rng.standard_normal(matrix.shape[0])
-        U = rng.standard_normal((matrix.shape[0], 3))
-        with ShardedOperator(matrix, n_shards=3, backend="serial") as op:
-            op.rmatvec(u)
-            op.rmatmat(U)
-            # One scratch buffer per adjoint kernel signature, none for
-            # forward products.
-            kinds = {key[0] for key in op._scratch}
-            assert kinds == {"rmatvec", "rmatmat"}
-            n_buffers = len(op._scratch)
-            op.rmatvec(u)
-            op.rmatmat(U)
-            assert len(op._scratch) == n_buffers
-            # Forward results are returned to callers: consecutive calls
-            # must hand out distinct arrays.
-            first = op.matvec(v)
-            second = op.matvec(v)
-            assert first is not second
-            assert np.array_equal(first, second)
+        X = matrix if mode == "csr" else matrix.to_dense()
+        operands = {
+            "matvec": rng.standard_normal(matrix.shape[1]),
+            "rmatvec": rng.standard_normal(matrix.shape[0]),
+            "matmat": rng.standard_normal((matrix.shape[1], 3)),
+            "rmatmat": rng.standard_normal((matrix.shape[0], 3)),
+        }
+        with ShardedOperator(X, n_shards=3, backend="serial") as op:
+            for name, operand in operands.items():
+                product = getattr(op, name)
+                first = product(operand)
+                kept = first.copy()
+                second = product(operand)
+                assert not np.shares_memory(first, second)
+                second[...] = np.nan
+                assert np.array_equal(first, kept)
 
     def test_forward_block_is_made_c_ordered_once(self, rng, monkeypatch):
         """Every shard reads the whole forward operand; the coordinator
@@ -449,8 +439,126 @@ class TestFanInBuffers:
         with ShardedOperator(matrix, n_shards=3, backend="serial") as op:
             r1 = np.array(op.rmatvec(u))
             R1 = np.array(op.rmatmat(U))
-            # Interleave other products to dirty the scratch buffers.
+            # Interleave other products between the repeats.
             op.rmatvec(rng.standard_normal(matrix.shape[0]))
             op.rmatmat(rng.standard_normal((matrix.shape[0], 3)))
             assert np.array_equal(op.rmatvec(u), r1)
             assert np.array_equal(op.rmatmat(U), R1)
+
+
+KERNEL_BACKENDS = [
+    "reference",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not kernels.compiled_available(),
+            reason="compiled kernel extension not built",
+        ),
+    ),
+]
+
+
+def bitwise_case(rng, dtype, m=90, n=37):
+    """Skewed CSR with empty rows and columns and negative zeros."""
+    dense = rng.standard_normal((m, n))
+    dense[rng.random((m, n)) > 0.35] = 0.0
+    dense[:6] = np.where(dense[:6] == 0.0, rng.standard_normal((6, n)), 0.0)
+    dense[10:13] = 0.0
+    dense[:, 5] = 0.0
+    matrix = CSRMatrix.from_dense(dense.astype(dtype))
+    flip = rng.random(matrix.nnz) < 0.05
+    matrix.data[flip] = -0.0 * np.sign(matrix.data[flip])
+    return matrix
+
+
+def assert_products_match_direct(op, matrix, rng):
+    """All four products, k in {1, 2, 19}, against the direct kernels."""
+    m, n = matrix.shape
+    dtype = matrix.dtype
+    v = rng.standard_normal(n).astype(dtype)
+    u = rng.standard_normal(m).astype(dtype)
+    pairs = [
+        (op.matvec(v), kernels.csr_matvec(matrix, v)),
+        (op.rmatvec(u), kernels.csr_rmatvec(matrix, u)),
+    ]
+    for k in (1, 2, 19):
+        B = rng.standard_normal((n, k)).astype(dtype)
+        U = rng.standard_normal((m, k)).astype(dtype)
+        pairs.append((op.matmat(B), kernels.csr_matmat(matrix, B)))
+        pairs.append((op.rmatmat(U), kernels.csr_rmatmat(matrix, U)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestReductionFreeAdjoint:
+    """Every sharded CSR product equals the direct kernels byte for byte:
+    each output row, forward or adjoint, is computed by one shard with
+    the direct path's row kernel."""
+
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_shards", range(1, 9))
+    def test_in_process_bitwise(
+        self, rng, n_shards, dtype, backend, kernel_backend
+    ):
+        matrix = bitwise_case(rng, dtype)
+        with kernels.use_backend(kernel_backend):
+            with ShardedOperator(
+                matrix, n_shards=n_shards, backend=backend, n_jobs=3
+            ) as op:
+                assert_products_match_direct(op, matrix, rng)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend_name", ["process", "distributed"])
+    def test_cross_process_bitwise(self, rng, backend_name):
+        from repro.parallel import resolve_backend
+
+        backend = resolve_backend(backend_name, 2)
+        try:
+            for dtype in (np.float32, np.float64):
+                matrix = bitwise_case(rng, dtype)
+                for n_shards in range(1, 9):
+                    with ShardedOperator(
+                        matrix, n_shards=n_shards, backend=backend
+                    ) as op:
+                        assert_products_match_direct(op, matrix, rng)
+                        assert op.degraded_from is None
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_no_shard_builds_a_transpose(self, rng, backend):
+        matrix = bitwise_case(rng, np.float64)
+        U = rng.standard_normal((matrix.shape[0], 4))
+        with ShardedOperator(
+            matrix, n_shards=4, backend=backend, n_jobs=2
+        ) as op:
+            op.rmatvec(U[:, 0])
+            op.rmatmat(U)
+            # One transpose, held by the operator: the adjoint shards
+            # are views of its storage, in row order, and nothing is
+            # cached on the caller's matrix.
+            adjoint = op._adjoint.shards
+            assert all(s.data.base is adjoint[0].data.base for s in adjoint)
+            assert np.array_equal(
+                np.concatenate([s.data for s in adjoint]), matrix.T.data
+            )
+            for shard in op._forward.shards + adjoint:
+                assert shard._transpose_cache is None
+                assert shard._col_cache is None
+        fresh = bitwise_case(rng, np.float64)
+        with ShardedOperator(fresh, n_shards=4, backend=backend) as op:
+            op.rmatmat(U)
+        assert fresh._transpose_cache is None
+
+    def test_csr_shards_refuse_adjoint_kernels(self, rng):
+        from repro.parallel.sharded import shard_kernel_result
+
+        matrix = bitwise_case(rng, np.float64)
+        with pytest.raises(ValueError, match="forward kernels only"):
+            shard_kernel_result(
+                "csr", matrix, "rmatvec", np.ones(matrix.shape[0])
+            )

@@ -48,16 +48,14 @@ def test_csr_products_bitwise_for_any_shard_count(dense, n_shards, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_arrays(), st.integers(1, 20), st.integers(0, 2**31 - 1))
-def test_rmatmat_close_for_any_shard_count(dense, n_shards, seed):
-    """The adjoint block fold stays within float64 fold tolerance."""
+def test_rmatmat_bitwise_for_any_shard_count(dense, n_shards, seed):
+    """The block adjoint runs on row blocks of the transpose: no fold."""
     matrix = CSRMatrix.from_dense(dense)
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((matrix.shape[0], 2))
     direct = as_operator(matrix)
     with ShardedOperator(matrix, n_shards=n_shards) as op:
-        np.testing.assert_allclose(
-            op.rmatmat(U), direct.rmatmat(U), rtol=1e-10, atol=1e-12
-        )
+        assert op.rmatmat(U).tobytes() == direct.rmatmat(U).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
